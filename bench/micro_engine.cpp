@@ -2,7 +2,7 @@
 //
 // Drives a 1-source / 1-map / 1-sink pipeline with trivial UDFs at full
 // blast, so the measured records/sec is dominated by the runtime's
-// per-record overhead (queue locking, wakeups, metric updates) rather than
+// per-record overhead (queue hand-off, wakeups, metric updates) rather than
 // user code.  One row per shipping strategy; `--tsv` additionally writes
 // micro_engine.tsv next to the binary.  EXPERIMENTS.md records the
 // baseline (pre-batching) vs. optimized numbers.
@@ -18,24 +18,19 @@
 // The allocs/rec column reports heap allocations per delivered record over
 // the engine run (requires a -DESP_COUNT_ALLOCS=ON build, "n/a" otherwise).
 //
-// Chaining / channel rows: the three base rows (instant/fixed/adaptive) run
-// with task chaining and the SPSC ring DISABLED so they stay comparable with
-// the historical baselines; the extra rows measure the fast paths --
-// "adaptive+spsc" (lock-free single-producer input queues), "chained"
-// (Map->Snk fused onto one thread), and "chained+spsc" (both, the engine's
-// default configuration).  `--chaining on|off` / `--spsc on|off` override
-// the BASE rows, e.g. to measure recovery overhead under fusion.
+// Chaining rows: the three base rows (instant/fixed/adaptive) run with task
+// chaining DISABLED so every hop crosses an input queue and the rows stay
+// comparable with the historical baselines; "chained" (Map->Snk fused onto
+// one thread, the engine's default configuration) measures fusion.
+// `--chaining on|off` overrides the BASE rows, e.g. to measure recovery
+// overhead under fusion.
 //
-// Fan-in rows: "fanin" runs N full-blast sources (default 8, `--fanin N`)
+// Fan-in row: "fanin" runs N full-blast sources (default 8, `--fanin N`)
 // into a single sink so the multi-producer input path is measured, not just
-// the 1:1 pipeline.  These rows cap the output batch at 8 records: the row
-// exists to measure the fan-in edge's per-push synchronization (the cost
-// the §14 lanes remove), and 64-record producer batches would amortize
-// exactly that cost into the noise.  The default run also emits
-// "fanin/mpsc", the same topology with per-producer SPSC lanes disabled
-// (one shared locked BoundedQueue) -- the DESIGN.md §14 ablation.
-// `--no-lanes` instead makes the "fanin" row itself run laneless, for
-// same-named cross-run comparison.
+// the 1:1 pipeline.  This row caps the output batch at 8 records: it exists
+// to measure the fan-in edge's per-push synchronization (what the §14
+// per-producer lanes keep lock-free), and 64-record producer batches would
+// amortize exactly that cost into the noise.
 //
 // Overload mode: `--overload-burst` replaces the shipping rows with a
 // saturation scenario -- a full-blast source against a ~200 us/record map
@@ -45,11 +40,8 @@
 // admission).  The guard-on row is "exact" when the shed accounting closes:
 // emitted == delivered + shed with zero redelivery.
 //
-// Usage: micro_engine [--records N] [--queue N] [--batch N] [--seed S]
-//                     [--payload-size 8|24|64] [--chaining on|off]
-//                     [--spsc on|off] [--fanin N] [--no-lanes]
-//                     [--fail-at N] [--policy P]
-//                     [--overload-burst] [--tsv] [--json]
+// Usage: see kUsage below.  Unknown flags are rejected (exit 2), so a
+// mistyped or retired flag cannot silently measure the defaults.
 #include <algorithm>
 #include <chrono>
 #include <exception>
@@ -57,6 +49,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -80,6 +73,36 @@ using runtime::FaultInjector;
 using runtime::Record;
 using runtime::SourceFunction;
 using runtime::Udf;
+
+constexpr const char* kUsage =
+    "usage: micro_engine [--records N] [--queue N] [--batch N] [--seed S]\n"
+    "                    [--payload-size 8|24|64] [--chaining on|off] [--fanin N]\n"
+    "                    [--fail-at N] [--policy P]\n"
+    "                    [--overload-burst] [--tsv] [--json]\n";
+
+// True when every argument is a known flag (value flags followed by their
+// value); otherwise prints the offending argument and the usage.
+bool ArgsValid(int argc, char** argv) {
+  static constexpr const char* kValueFlags[] = {
+      "--records", "--queue",  "--batch",   "--seed",  "--payload-size",
+      "--chaining", "--fanin", "--fail-at", "--policy"};
+  static constexpr const char* kSwitches[] = {"--overload-burst", "--tsv", "--json"};
+  const auto in = [](const auto& flags, const char* arg) {
+    return std::any_of(std::begin(flags), std::end(flags),
+                       [arg](const char* f) { return std::strcmp(f, arg) == 0; });
+  };
+  for (int i = 1; i < argc; ++i) {
+    if (in(kSwitches, argv[i])) continue;
+    if (in(kValueFlags, argv[i]) && i + 1 < argc) {
+      ++i;
+      continue;
+    }
+    std::fprintf(stderr, "micro_engine: unknown flag or missing value: '%s'\n%s",
+                 argv[i], kUsage);
+    return false;
+  }
+  return true;
+}
 
 int ArgInt(int argc, char** argv, const char* flag, int fallback) {
   for (int i = 1; i + 1 < argc; ++i) {
@@ -225,7 +248,7 @@ struct FaultConfig {
 template <typename P>
 Row RunOnce(const char* name, ShippingStrategy shipping, int records,
             std::size_t queue_capacity, std::uint32_t batch_capacity,
-            const FaultConfig& fc, bool chaining, bool spsc) {
+            const FaultConfig& fc, bool chaining) {
   JobGraph g;
   const auto src = g.AddVertex({.name = "Src", .parallelism = 1, .max_parallelism = 1});
   const auto map = g.AddVertex({.name = "Map", .parallelism = 1, .max_parallelism = 1});
@@ -238,7 +261,6 @@ Row RunOnce(const char* name, ShippingStrategy shipping, int records,
   opts.queue_capacity = queue_capacity;
   opts.batch_capacity = batch_capacity;
   opts.chaining = chaining;
-  opts.spsc_channels = spsc;
 
   FaultInjector injector(fc.seed);
   if (fc.fail_at > 0) {
@@ -291,14 +313,13 @@ Row RunOnce(const char* name, ShippingStrategy shipping, int records,
 }
 
 // Fan-in topology: `fanin` full-blast sources feed ONE sink, so the sink's
-// input queue is the multi-producer edge the §14 lanes exist for.  With
-// `lanes` on, each source gets its own SPSC lane merged round-robin by the
-// sink; off is the ablation (one shared mutex-guarded BoundedQueue).  The
+// input queue is the multi-producer edge the §14 lanes exist for: each
+// source gets its own SPSC lane merged round-robin by the sink.  The
 // record budget is split evenly across sources (remainder on subtask 0) so
 // the delivered total stays `records` and exactness still closes.
 template <typename P>
 Row RunFanin(const char* name, int records, std::size_t queue_capacity,
-             std::uint32_t batch_capacity, int fanin, bool lanes) {
+             std::uint32_t batch_capacity, int fanin) {
   JobGraph g;
   const auto src = g.AddVertex(
       {.name = "Src", .parallelism = static_cast<std::uint32_t>(fanin),
@@ -311,8 +332,6 @@ Row RunFanin(const char* name, int records, std::size_t queue_capacity,
   opts.queue_capacity = queue_capacity;
   opts.batch_capacity = batch_capacity;
   opts.chaining = false;  // nothing to fuse: every edge here is fan-in > 1
-  opts.spsc_channels = false;
-  opts.fanin_lanes = lanes;
 
   const int per_source = records / fanin;
   const int remainder = records % fanin;
@@ -414,35 +433,26 @@ Row RunOverloadBurst(const char* name, int records, std::uint32_t batch_capacity
   return row;
 }
 
-// Runs the three shipping strategies (base rows, chaining/spsc as given)
-// plus the fast-path comparison rows on the adaptive strategy and the
-// fan-in rows (lanes vs. the `--no-lanes` / "fanin/mpsc" ablation).
+// Runs the three shipping strategies (base rows, chaining as given) plus
+// the chained comparison row on the adaptive strategy and the fan-in row.
 template <typename P>
 std::vector<Row> RunAll(int records, int queue, int batch, const FaultConfig& fc,
-                        bool chaining, bool spsc, int fanin, bool no_lanes) {
+                        bool chaining, int fanin) {
   const auto q = static_cast<std::size_t>(queue);
   const auto b = static_cast<std::uint32_t>(batch);
   std::vector<Row> rows;
   rows.push_back(RunOnce<P>("instant", esp::ShippingStrategy::kInstantFlush, records,
-                            q, b, fc, chaining, spsc));
+                            q, b, fc, chaining));
   rows.push_back(RunOnce<P>("fixed", esp::ShippingStrategy::kFixedBuffer, records,
-                            q, b, fc, chaining, spsc));
+                            q, b, fc, chaining));
   rows.push_back(RunOnce<P>("adaptive", esp::ShippingStrategy::kAdaptive, records,
-                            q, b, fc, chaining, spsc));
-  rows.push_back(RunOnce<P>("adaptive+spsc", esp::ShippingStrategy::kAdaptive,
-                            records, q, b, fc, /*chaining=*/false, /*spsc=*/true));
+                            q, b, fc, chaining));
   rows.push_back(RunOnce<P>("chained", esp::ShippingStrategy::kAdaptive, records, q,
-                            b, fc, /*chaining=*/true, /*spsc=*/false));
-  rows.push_back(RunOnce<P>("chained+spsc", esp::ShippingStrategy::kAdaptive,
-                            records, q, b, fc, /*chaining=*/true, /*spsc=*/true));
+                            b, fc, /*chaining=*/true));
   // Small batches by design: the fan-in row measures the edge's per-push
   // synchronization, which large batches would amortize away (see header).
   const auto fb = std::min<std::uint32_t>(b, 8);
-  rows.push_back(RunFanin<P>("fanin", records, q, fb, fanin, /*lanes=*/!no_lanes));
-  if (!no_lanes) {
-    // Same-run ablation so a single --json artifact carries the comparison.
-    rows.push_back(RunFanin<P>("fanin/mpsc", records, q, fb, fanin, /*lanes=*/false));
-  }
+  rows.push_back(RunFanin<P>("fanin", records, q, fb, fanin));
   return rows;
 }
 
@@ -451,6 +461,7 @@ std::vector<Row> RunAll(int records, int queue, int batch, const FaultConfig& fc
 
 static int Run(int argc, char** argv) {
   using namespace esp::bench;
+  if (!ArgsValid(argc, argv)) return 2;
 
   // The overload scenario runs against a ~200 us/record map, so its default
   // record count is sized to keep the guard-off baseline around 4 s.
@@ -465,12 +476,10 @@ static int Run(int argc, char** argv) {
   fc.fail_at = ArgInt(argc, argv, "--fail-at", 0);
   fc.policy = ParsePolicy(ArgStr(argc, argv, "--policy", "restart-task"));
 
-  // Base rows default to the historical (no-fusion, MPSC) configuration so
-  // they stay comparable across releases; the engine itself defaults to on.
+  // Base rows default to the historical no-fusion configuration so they
+  // stay comparable across releases; the engine itself defaults to on.
   const bool chaining = std::strcmp(ArgStr(argc, argv, "--chaining", "off"), "on") == 0;
-  const bool spsc = std::strcmp(ArgStr(argc, argv, "--spsc", "off"), "on") == 0;
   const int fanin = ArgInt(argc, argv, "--fanin", 8);
-  const bool no_lanes = HasFlag(argc, argv, "--no-lanes");
   if (fanin < 1) {
     std::fprintf(stderr, "--fanin must be >= 1 (got %d)\n", fanin);
     return 2;
@@ -478,11 +487,10 @@ static int Run(int argc, char** argv) {
 
   Section("micro_engine: 1-source/1-map/1-sink, trivial UDFs, full blast");
   std::printf("records=%d queue_capacity=%d batch_capacity=%d payload_size=%d (%s) "
-              "seed=%llu base_chaining=%s base_spsc=%s fanin=%d lanes=%s\n",
+              "seed=%llu base_chaining=%s fanin=%d\n",
               records, queue, batch, payload_size,
               payload_size <= 24 ? "inline" : "boxed",
-              static_cast<unsigned long long>(fc.seed), chaining ? "on" : "off",
-              spsc ? "on" : "off", fanin, no_lanes ? "off" : "on");
+              static_cast<unsigned long long>(fc.seed), chaining ? "on" : "off", fanin);
   if (fc.fail_at > 0) {
     std::printf("fault: Map[0] throws at record %d, policy=%s\n", fc.fail_at,
                 ArgStr(argc, argv, "--policy", "restart-task"));
@@ -496,7 +504,7 @@ static int Run(int argc, char** argv) {
       rows.push_back(RunOverloadBurst<P>("burst/guard-off", records, b, false));
       rows.push_back(RunOverloadBurst<P>("burst/guard-on", records, b, true));
     } else {
-      rows = RunAll<P>(records, queue, batch, fc, chaining, spsc, fanin, no_lanes);
+      rows = RunAll<P>(records, queue, batch, fc, chaining, fanin);
     }
   };
   switch (payload_size) {

@@ -1,10 +1,10 @@
-// FaninLanes: per-producer SPSC lanes for fan-in > 1 edges (DESIGN.md §14).
+// FaninLanes: the input queue of every queue-fed LocalEngine task
+// (DESIGN.md §14) -- one SPSC lane per producer task.
 //
-// A consumer fed by N producer tasks historically shared one mutex-guarded
-// BoundedQueue, so every producer's flush contended with every other's and
-// with the consumer's pop.  FaninLanes gives each producer task its own
-// lock-free SpscQueue lane -- the PR 5 fast path, reused verbatim -- and
-// merges them on the consumer side:
+// A consumer fed by N producer tasks gets N lanes (the no-producer corner
+// gets one), so no producer's flush contends with another's or with the
+// consumer's pop.  Each lane is a lock-free SpscQueue, reused verbatim, and
+// the consumer merges them:
 //
 //   * PRODUCERS push to their assigned lane with the lane's lock-free
 //     TryPush and park per-lane on a full ring, keeping SpscQueue's
@@ -20,11 +20,11 @@
 //     sleeping; a producer's TryPush publishes its count/cursor (seq_cst)
 //     and then reads the flag -- one of them always sees the other.
 //
-// The recovery surface mirrors BoundedQueue/SpscQueue so the supervisor
-// stays queue-agnostic: PushFront re-admits salvage through an aggregate
-// stash consumed before any lane, DrainAll empties stash + every lane, and
-// Close closes every lane (waking its parked producer) plus the aggregate
-// condvar -- the close-wakes-all contract quarantine and rescale rely on.
+// The recovery surface mirrors SpscQueue's: PushFront re-admits salvage
+// through an aggregate stash consumed before any lane, DrainAll empties
+// stash + every lane, and Close closes every lane (waking its parked
+// producer) plus the aggregate condvar -- the close-wakes-all contract
+// quarantine and rescale rely on.
 #pragma once
 
 #include <algorithm>
@@ -45,9 +45,9 @@ namespace esp::runtime {
 template <typename T>
 class FaninLanes {
  public:
-  /// `capacity` bounds the TOTAL queued record count like BoundedQueue's;
-  /// it is split evenly across lanes so N producers feeding one consumer
-  /// see the same aggregate backpressure as the single shared queue did.
+  /// `capacity` bounds the TOTAL queued record count; it is split evenly
+  /// across lanes so N producers feeding one consumer see the same
+  /// aggregate backpressure as one shared queue of `capacity` would.
   FaninLanes(std::size_t capacity, std::size_t lanes) : capacity_(capacity) {
     const std::size_t n = std::max<std::size_t>(1, lanes);
     const std::size_t per_lane = std::max<std::size_t>(1, capacity / n);
@@ -61,9 +61,9 @@ class FaninLanes {
 
   /// Blocks until the batch is in `lane`'s ring or the queue is closed;
   /// false when closed (remaining items are dropped).  Same recharge
-  /// contract as BoundedQueue/SpscQueue: `items` comes back empty carrying
-  /// the slot's recycled capacity.  SPSC per lane: at most one live thread
-  /// may push a given lane.
+  /// contract as SpscQueue: `items` comes back empty carrying the slot's
+  /// recycled capacity.  SPSC per lane: at most one live thread may push a
+  /// given lane.
   bool PushAll(std::size_t lane, std::vector<T>& items)
       ESP_EXCLUDES(park_mutex_) ESP_BLOCKING {
     SpscQueue<T>& q = *lanes_[lane];
@@ -88,8 +88,8 @@ class FaninLanes {
   /// Drains up to `max_items` into `out` (cleared first), waiting up to
   /// `timeout` for the first item; 0 on timeout or closed-and-drained.
   /// Stash items come out before lane items; lanes are visited round-robin
-  /// from a rotating start.  `mark_busy` follows the BoundedQueue contract
-  /// (raised BEFORE the pop is published) via each lane's PopReady.
+  /// from a rotating start.  `mark_busy` is raised BEFORE the pop is
+  /// published (the drain detector's contract) via each lane's PopReady.
   std::size_t PopBatchFor(std::size_t max_items, std::chrono::nanoseconds timeout,
                           std::vector<T>& out,
                           std::atomic<bool>* mark_busy = nullptr)

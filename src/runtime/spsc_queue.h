@@ -1,9 +1,8 @@
-// Lock-free bounded SPSC channel: the fast-path input queue for a task fed
-// by exactly ONE producer.  LocalEngine selects it automatically at epoch
-// (re)build time for unchained 1-producer edges; fan-in > 1 edges compose
-// one SpscQueue PER PRODUCER into a FaninLanes array (fanin_lanes.h), and
-// only the no-producer corner falls back to the mutex-guarded BoundedQueue
-// (DESIGN.md §10, §14).
+// Lock-free bounded SPSC channel: the lane building block of a task's input
+// queue.  LocalEngine composes one SpscQueue PER PRODUCER TASK into a
+// FaninLanes array (fanin_lanes.h) for every queue-fed task (DESIGN.md §10,
+// §14); on its own it is a complete blocking queue for one producer and one
+// consumer.
 //
 // The single-producer / single-consumer restriction lets both cursors
 // advance without a lock, and publication is BATCH-granular all the way
@@ -18,11 +17,11 @@
 //     (power-of-two mask, no wrapping logic); `items_` mirrors the queued
 //     record count for backpressure and the drain detector's Empty().
 //   * The park mutex and condvars are touched only on EMPTY/FULL
-//     transitions, and producer wakeups are THROTTLED like BoundedQueue's:
-//     under sustained backpressure a pop only takes the park mutex when
-//     occupancy falls below the low watermark (capacity/4) or a full chunk
-//     ring regains a slot, so the producer is woken once per drained
-//     quarter-queue, not once per pop.  The producer's timed wait bounds
+//     transitions, and producer wakeups are THROTTLED: under sustained
+//     backpressure a pop only takes the park mutex when occupancy falls
+//     below the low watermark (capacity/4) or a full chunk ring regains a
+//     slot, so the producer is woken once per drained quarter-queue, not
+//     once per pop.  The producer's timed wait bounds
 //     the cost of any wake this throttling skips.
 //     The park protocol is Dekker-style: a side raises its
 //     `*_parked_` flag (seq_cst) and re-checks the state before sleeping,
@@ -33,8 +32,7 @@
 //     lost between the sleeper's re-check and its wait), and waits are
 //     timed as defense in depth.
 //
-// The recovery surface mirrors BoundedQueue so the supervisor code is
-// queue-agnostic:
+// The recovery surface the supervisor drives (through FaninLanes):
 //   * PushFront re-admits salvaged records through a mutex-guarded stash
 //     that PopBatchFor consumes BEFORE ring items.  PushFront is only
 //     called while the consumer is quiescent (restart paths join the task
@@ -42,9 +40,9 @@
 //   * DrainAll lets the supervisor act as the consumer of a dead task's
 //     backlog (the producer may still be live and mid-push; the cursor
 //     atomics make that safe).
-//   * `mark_busy` follows BoundedQueue's contract -- the flag is raised
-//     BEFORE the pop is published, so the stop-the-world drain detector's
-//     "Empty() then busy" read order can never miss an in-flight record.
+//   * `mark_busy` is raised BEFORE the pop is published, so the
+//     stop-the-world drain detector's "Empty() then busy" read order can
+//     never miss an in-flight record.
 #pragma once
 
 #include <algorithm>
@@ -66,8 +64,9 @@ class FaninLanes;  // fanin_lanes.h: per-producer lane arrays reuse the leaves b
 template <typename T>
 class SpscQueue {
  public:
-  /// `capacity` bounds the queued RECORD count (like BoundedQueue); the
-  /// chunk ring is sized so one-record chunks can still fill it.
+  /// `capacity` bounds the queued RECORD count; the chunk ring is sized so
+  /// one-record chunks can still fill it.  A batch larger than `capacity`
+  /// is admitted whenever the count is below it, so it never deadlocks.
   explicit SpscQueue(std::size_t capacity)
       : ring_(RingSlots(capacity)),
         mask_(ring_.size() - 1),
@@ -77,8 +76,7 @@ class SpscQueue {
   /// Blocks until the batch is in the ring or the queue is closed; false
   /// when closed (remaining items are dropped).  The batch lands as ONE
   /// chunk via vector swap, and `items` comes back empty but carrying the
-  /// slot's recycled capacity -- the same recharge contract as
-  /// BoundedQueue's lvalue overload.
+  /// slot's recycled capacity (the engine's recharge contract).
   bool PushAll(std::vector<T>& items) ESP_EXCLUDES(park_mutex_) ESP_BLOCKING {
     if (items.empty()) return !closed_.load(std::memory_order_seq_cst);
     for (;;) {
@@ -129,7 +127,7 @@ class SpscQueue {
     }
     // Throttled wake (see file header): taking the park mutex on EVERY pop
     // while the producer idles parked would make the saturated regime as
-    // mutex-bound as BoundedQueue.  Waking only when the producer can make
+    // mutex-bound as a locked queue.  Waking only when the producer can make
     // real progress -- occupancy below the watermark, or a full ring with a
     // slot again -- amortises one wake over a quarter-queue of drain; the
     // producer's 1ms timed wait covers the corner where occupancy hovers
@@ -320,7 +318,7 @@ class SpscQueue {
   }
 
   /// Producer side.  No overall deadline: a full queue IS the engine's
-  /// backpressure, exactly like BoundedQueue's blocking PushAll.  The waits
+  /// backpressure, as with Nephele's bounded channels.  The waits
   /// are timed anyway so a lost wakeup degrades to a 1ms hiccup, not a hang.
   void ParkProducer() ESP_EXCLUDES(park_mutex_) ESP_BLOCKING {
     producer_parked_.store(true, std::memory_order_seq_cst);

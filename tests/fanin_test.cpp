@@ -130,6 +130,44 @@ TEST(FaninLanes, SplitsCapacityAcrossLanes) {
   EXPECT_EQ(lanes.capacity(), 64u);
   EXPECT_TRUE(lanes.Empty());
   EXPECT_FALSE(lanes.closed());
+  // A batch larger than its lane's 16-record share is admitted while the
+  // lane is empty -- it would deadlock otherwise.
+  std::vector<int> oversize(40, 1);
+  ASSERT_TRUE(lanes.PushAll(0, oversize));
+  EXPECT_EQ(lanes.size(), 40u);
+  // The fan-in-0 corner (a consumer no channel feeds) still gets one lane.
+  EXPECT_EQ(FaninLanes<int>(64, 0).lane_count(), 1u);
+}
+
+TEST(FaninLanes, FullLaneBlocksProducerUntilConsumed) {
+  // Backpressure: a producer pushing into its full lane parks until the
+  // consumer drains it, for a batch that fits and for one larger than the
+  // whole lane (admitted once the lane drains below its share).
+  for (const std::size_t batch_size : {std::size_t{1}, std::size_t{5}}) {
+    SCOPED_TRACE(batch_size);
+    FaninLanes<int> lanes(4, 2);  // 2 records per lane
+    std::vector<int> first = {1, 2};
+    ASSERT_TRUE(lanes.PushAll(0, first));
+    std::atomic<bool> pushed{false};
+    std::thread producer([&] {
+      std::vector<int> second(batch_size, 3);
+      EXPECT_TRUE(lanes.PushAll(0, second));
+      pushed.store(true);
+    });
+    std::this_thread::sleep_for(milliseconds(20));
+    EXPECT_FALSE(pushed.load());  // backpressure: producer is parked
+    std::vector<int> got;
+    std::vector<int> out;
+    for (int i = 0; i < 100 && got.size() < 2 + batch_size; ++i) {
+      lanes.PopBatchFor(4, nanoseconds(50'000'000), out);
+      got.insert(got.end(), out.begin(), out.end());
+    }
+    producer.join();
+    EXPECT_TRUE(pushed.load());
+    std::vector<int> want = {1, 2};
+    want.insert(want.end(), batch_size, 3);
+    EXPECT_EQ(got, want);
+  }
 }
 
 TEST(FaninLanes, PerLaneFifoWithConcurrentProducers) {
@@ -190,19 +228,26 @@ TEST(FaninLanes, MergeDrainRotatesTheStartingLane) {
 
 TEST(FaninLanes, PushFrontComesOutBeforeLaneItems) {
   // Salvage re-admission: PushFront items must come out ahead of anything
-  // staged in the lanes, in their own order.
-  FaninLanes<int> lanes(16, 2);
-  std::vector<int> queued = {10, 11};
-  ASSERT_TRUE(lanes.PushAll(0, queued));
-  lanes.PushFront({1, 2, 3});
-  // The stash comes out first (possibly as its own pop), lane items after.
-  std::vector<int> all;
-  std::vector<int> out;
-  while (all.size() < 5) {
-    ASSERT_GT(lanes.PopBatchFor(16, nanoseconds(1'000'000), out), 0u);
-    all.insert(all.end(), out.begin(), out.end());
+  // staged in the lanes, in their own order -- also when the lane is full
+  // and the queue was closed upstream while the task was dead, since
+  // PushFront ignores both capacity and close.
+  for (const bool full_and_closed : {false, true}) {
+    SCOPED_TRACE(full_and_closed ? "full and closed" : "open");
+    FaninLanes<int> lanes(full_and_closed ? 4 : 16, 2);
+    std::vector<int> queued = {10, 11};
+    ASSERT_TRUE(lanes.PushAll(0, queued));
+    if (full_and_closed) lanes.Close();
+    lanes.PushFront({1, 2, 3});
+    EXPECT_EQ(lanes.size(), 5u);
+    // The stash comes out first (possibly as its own pop), lane items after.
+    std::vector<int> all;
+    std::vector<int> out;
+    while (all.size() < 5) {
+      ASSERT_GT(lanes.PopBatchFor(16, nanoseconds(1'000'000), out), 0u);
+      all.insert(all.end(), out.begin(), out.end());
+    }
+    EXPECT_EQ(all, (std::vector<int>{1, 2, 3, 10, 11}));
   }
-  EXPECT_EQ(all, (std::vector<int>{1, 2, 3, 10, 11}));
 }
 
 TEST(FaninLanes, DrainAllTakesStashAndEveryLane) {
@@ -257,9 +302,9 @@ TEST(FaninLanes, CloseWakesParkedConsumer) {
 
 TEST(FaninLanes, DrainDetectorSeesNoInFlightItems) {
   // The stop-the-world drain invariant on the merged queue, same protocol
-  // as the BoundedQueue/SpscQueue stresses: mark_busy is raised BEFORE a
-  // pop is published from any lane or the stash, so reading "lanes empty,
-  // then flag false" proves every pushed item was processed.
+  // as the SpscQueue stress: mark_busy is raised BEFORE a pop is published
+  // from any lane or the stash, so reading "lanes empty, then flag false"
+  // proves every pushed item was processed.
   FaninLanes<int> lanes(16, 2);
   std::atomic<bool> busy{false};
   std::atomic<bool> stop{false};
@@ -367,32 +412,26 @@ JobGraph FaninGraph(std::uint32_t sources) {
 
 TEST(LocalEngineFanin, ManyProducersOneSinkDeliversExactlyOnce) {
   // 4 full-blast sources race into one sink's lane array; every record must
-  // arrive exactly once.  Runs the same job with lanes disabled (the shared
-  // BoundedQueue ablation) and expects identical accounting, pinning that
-  // the lane selection changes only the synchronization, not the semantics.
+  // arrive exactly once.
   constexpr int kPerSource = 4000;
-  for (const bool lanes : {true, false}) {
-    SCOPED_TRACE(lanes ? "lanes" : "mpsc");
-    SinkState state;
-    LocalEngineOptions opts;
-    opts.shipping = ShippingStrategy::kAdaptive;
-    opts.queue_capacity = 64;  // small: producers park on full lanes
-    opts.batch_capacity = 8;
-    opts.fanin_lanes = lanes;
-    LocalEngine engine(FaninGraph(4), opts);
-    engine.SetSource("Src", [total = kPerSource](std::uint32_t) {
-      return std::make_unique<CountingSource>(total, milliseconds(0));
-    });
-    engine.SetUdf("Snk", [&](std::uint32_t) { return std::make_unique<CollectSink>(&state); });
-    const EngineResult result = engine.Run(FromSeconds(60));
+  SinkState state;
+  LocalEngineOptions opts;
+  opts.shipping = ShippingStrategy::kAdaptive;
+  opts.queue_capacity = 64;  // small: producers park on full lanes
+  opts.batch_capacity = 8;
+  LocalEngine engine(FaninGraph(4), opts);
+  engine.SetSource("Src", [total = kPerSource](std::uint32_t) {
+    return std::make_unique<CountingSource>(total, milliseconds(0));
+  });
+  engine.SetUdf("Snk", [&](std::uint32_t) { return std::make_unique<CollectSink>(&state); });
+  const EngineResult result = engine.Run(FromSeconds(60));
 
-    EXPECT_TRUE(result.clean()) << result.first_failure();
-    EXPECT_EQ(result.records_emitted, 4u * kPerSource);
-    EXPECT_EQ(result.records_delivered, 4u * kPerSource);
-    // Each source emits 0..kPerSource-1 once.
-    EXPECT_EQ(SumOfValues(state),
-              4LL * kPerSource * (kPerSource - 1) / 2);
-  }
+  EXPECT_TRUE(result.clean()) << result.first_failure();
+  EXPECT_EQ(result.records_emitted, 4u * kPerSource);
+  EXPECT_EQ(result.records_delivered, 4u * kPerSource);
+  // Each source emits 0..kPerSource-1 once.
+  EXPECT_EQ(SumOfValues(state),
+            4LL * kPerSource * (kPerSource - 1) / 2);
 }
 
 TEST(LocalEngineFanin, QuarantineLaneProducerMidBurstAccountsExactly) {

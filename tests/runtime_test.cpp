@@ -1,4 +1,4 @@
-// Tests for the threaded local runtime: the bounded queue, record boxing
+// Tests for the threaded local runtime: the SPSC lane queue, record boxing
 // and the LocalEngine end-to-end (routing patterns, batching strategies,
 // windowed UDFs, termination, and stop-the-world elastic rescaling).
 #include <atomic>
@@ -15,7 +15,7 @@
 
 #include "common/thread_annotations.h"
 #include "runtime/engine.h"
-#include "runtime/queue.h"
+#include "runtime/fanin_lanes.h"
 #include "runtime/record.h"
 #include "runtime/spsc_queue.h"
 
@@ -156,220 +156,6 @@ TEST(Record, LayoutStaysWithinBudget) {
   EXPECT_EQ(alignof(Record), 8u);
 }
 
-// ------------------------------------------------------------------ queue
-
-TEST(BoundedQueue, FifoOrder) {
-  BoundedQueue<int> q(10);
-  std::vector<int> batch{1, 2, 3};
-  ASSERT_TRUE(q.PushAll(std::move(batch)));
-  EXPECT_EQ(q.PopFor(nanoseconds(1000)).value(), 1);
-  EXPECT_EQ(q.PopFor(nanoseconds(1000)).value(), 2);
-  EXPECT_EQ(q.PopFor(nanoseconds(1000)).value(), 3);
-  EXPECT_FALSE(q.PopFor(nanoseconds(1000)).has_value());
-}
-
-TEST(BoundedQueue, CloseUnblocksAndDrains) {
-  BoundedQueue<int> q(4);
-  std::vector<int> batch{1};
-  ASSERT_TRUE(q.PushAll(std::move(batch)));
-  q.Close();
-  EXPECT_TRUE(q.closed());
-  // Drains remaining items after close...
-  EXPECT_EQ(q.PopFor(nanoseconds(1000)).value(), 1);
-  // ...then reports empty, and pushes are rejected.
-  EXPECT_FALSE(q.PopFor(nanoseconds(1000)).has_value());
-  std::vector<int> more{2};
-  EXPECT_FALSE(q.PushAll(std::move(more)));
-}
-
-TEST(BoundedQueue, OversizeBatchAdmittedWhenEmpty) {
-  BoundedQueue<int> q(2);
-  std::vector<int> batch{1, 2, 3, 4, 5};
-  ASSERT_TRUE(q.PushAll(std::move(batch)));  // would deadlock without the guard
-  EXPECT_EQ(q.size(), 5u);
-}
-
-TEST(BoundedQueue, FullQueueBlocksProducerUntilConsumed) {
-  BoundedQueue<int> q(2);
-  std::vector<int> first{1, 2};
-  ASSERT_TRUE(q.PushAll(std::move(first)));
-
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    std::vector<int> second{3};
-    q.PushAll(std::move(second));
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(milliseconds(20));
-  EXPECT_FALSE(pushed.load());  // backpressure: producer is blocked
-  q.PopFor(nanoseconds(1'000'000));
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-}
-
-TEST(BoundedQueue, PopBatchForDrainsUpToLimitInOrder) {
-  BoundedQueue<int> q(16);
-  ASSERT_TRUE(q.PushAll(std::vector<int>{1, 2, 3}));
-  ASSERT_TRUE(q.PushAll(std::vector<int>{4, 5}));
-  std::vector<int> out;
-  // Takes the whole first chunk plus part of the second, preserving FIFO.
-  EXPECT_EQ(q.PopBatchFor(4, nanoseconds(1000), out), 4u);
-  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4}));
-  EXPECT_EQ(q.PopBatchFor(4, nanoseconds(1000), out), 1u);
-  EXPECT_EQ(out, (std::vector<int>{5}));
-  EXPECT_EQ(q.PopBatchFor(4, nanoseconds(1000), out), 0u);
-}
-
-TEST(BoundedQueue, RecyclingPushRechargesProducerCapacity) {
-  BoundedQueue<int> q(64);
-  std::vector<int> batch{1, 2, 3, 4};
-  std::vector<int> out;
-  out.reserve(16);  // consumer storage that will enter the recycling cycle
-  ASSERT_TRUE(q.PushAll(batch));  // lvalue overload: cold pool, batch just empties
-  EXPECT_TRUE(batch.empty());
-  // The pop swaps the chunk into `out`; out's old 16-capacity storage parks
-  // in the queue's spent-chunk pool.
-  EXPECT_EQ(q.PopBatchFor(8, nanoseconds(1000), out), 4u);
-  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4}));
-  batch = {5, 6, 7};
-  ASSERT_TRUE(q.PushAll(batch));  // now recharged from the pool
-  EXPECT_TRUE(batch.empty());
-  EXPECT_GE(batch.capacity(), 16u);
-  EXPECT_EQ(q.PopBatchFor(8, nanoseconds(1000), out), 3u);
-  EXPECT_EQ(out, (std::vector<int>{5, 6, 7}));  // FIFO order survives recycling
-}
-
-TEST(BoundedQueue, OversizeBatchAdmittedAfterDrain) {
-  // Regression: an oversize batch arriving while the queue is NON-empty must
-  // block until the queue fully drains, then be admitted -- the pop-side
-  // "queue emptied" wakeup is what lets it through.
-  BoundedQueue<int> q(2);
-  ASSERT_TRUE(q.PushAll(std::vector<int>{1, 2}));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    q.PushAll(std::vector<int>{3, 4, 5, 6, 7});
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(milliseconds(20));
-  EXPECT_FALSE(pushed.load());  // waits: queue is occupied and batch > capacity
-  std::vector<int> got, out;
-  for (int i = 0; i < 100 && got.size() < 7; ++i) {
-    q.PopBatchFor(4, nanoseconds(50'000'000), out);
-    got.insert(got.end(), out.begin(), out.end());
-  }
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(got, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
-}
-
-TEST(BoundedQueue, BatchPushWakesAllWaitingConsumers) {
-  // Regression: a multi-item PushAll can satisfy several parked consumers;
-  // waking only one would strand the other until its timeout.
-  BoundedQueue<int> q(8);
-  std::atomic<int> got{0};
-  auto consume = [&] {
-    if (q.PopFor(std::chrono::seconds(5)).has_value()) got.fetch_add(1);
-  };
-  std::thread c1(consume), c2(consume);
-  std::this_thread::sleep_for(milliseconds(20));  // let both consumers park
-  ASSERT_TRUE(q.PushAll(std::vector<int>{1, 2}));
-  c1.join();
-  c2.join();
-  EXPECT_EQ(got.load(), 2);
-}
-
-TEST(BoundedQueue, PushFrontReordersAheadOfQueuedItems) {
-  BoundedQueue<int> q(4);
-  ASSERT_TRUE(q.PushAll(std::vector<int>{3, 4}));
-  EXPECT_EQ(q.PopFor(nanoseconds(1000)).value(), 3);  // leave a consumed prefix
-  q.PushFront(std::vector<int>{1, 2});
-  std::vector<int> out;
-  EXPECT_EQ(q.PopBatchFor(8, nanoseconds(1000), out), 3u);
-  EXPECT_EQ(out, (std::vector<int>{1, 2, 4}));
-}
-
-TEST(BoundedQueue, PushFrontIgnoresCapacityAndClose) {
-  // Recovery path: salvaged records must be re-admitted even when the queue
-  // is full or was closed by upstream while the task was dead.
-  BoundedQueue<int> q(2);
-  ASSERT_TRUE(q.PushAll(std::vector<int>{5, 6}));
-  q.Close();
-  q.PushFront(std::vector<int>{1, 2, 3});
-  EXPECT_EQ(q.size(), 5u);
-  std::vector<int> out;
-  EXPECT_EQ(q.PopBatchFor(8, nanoseconds(1000), out), 5u);
-  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 5, 6}));
-}
-
-TEST(BoundedQueue, DrainAllTakesEverythingWithoutWaiting) {
-  BoundedQueue<int> q(8);
-  ASSERT_TRUE(q.PushAll(std::vector<int>{1, 2, 3}));
-  ASSERT_TRUE(q.PushAll(std::vector<int>{4}));
-  EXPECT_EQ(q.PopFor(nanoseconds(1000)).value(), 1);
-  EXPECT_EQ(q.DrainAll(), (std::vector<int>{2, 3, 4}));
-  EXPECT_TRUE(q.Empty());
-  EXPECT_TRUE(q.DrainAll().empty());
-}
-
-TEST(BoundedQueue, DrainDetectorSeesNoInFlightItems) {
-  // Stress for the invariant stop-the-world rescaling relies on: mark_busy
-  // is set under the queue lock iff items were returned, so an observer who
-  // reads the queue empty and THEN the flag false can conclude every pushed
-  // item has been fully processed.
-  BoundedQueue<int> q(16);
-  std::atomic<bool> busy{false};
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> processed{0};
-  std::thread consumer([&] {
-    std::vector<int> batch;
-    while (!stop.load()) {
-      const std::size_t n = q.PopBatchFor(8, nanoseconds(200'000), batch, &busy);
-      if (n > 0) {
-        processed.fetch_add(n);  // "process" before declaring idle
-        busy.store(false);
-      }
-    }
-  });
-  std::uint64_t pushed = 0;
-  for (int round = 0; round < 50; ++round) {
-    std::vector<int> burst(1 + round % 13, round);
-    pushed += burst.size();
-    ASSERT_TRUE(q.PushAll(std::move(burst)));
-    // Same protocol as LocalEngine::Rescale: three consecutive observations
-    // of (queue empty, then task not busy) -- in that order.
-    int stable = 0;
-    while (stable < 3) {
-      const bool empty = q.Empty();    // read queue state first...
-      const bool idle = !busy.load();  // ...then the busy flag
-      stable = (empty && idle) ? stable + 1 : 0;
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-    ASSERT_EQ(processed.load(), pushed) << "round " << round;
-  }
-  stop.store(true);
-  q.Close();
-  consumer.join();
-  EXPECT_EQ(processed.load(), pushed);
-}
-
-TEST(BoundedQueue, SpentChunkPoolRetainedCapacityIsBounded) {
-  // Regression for the bounded free pool: recycling retains at most one
-  // queue's worth (capacity_) of spent-chunk storage, so a burst that
-  // drained through large chunks cannot pin peak-backlog memory for the
-  // queue's whole lifetime.
-  BoundedQueue<int> q(64);
-  std::vector<int> out;
-  for (int round = 0; round < 16; ++round) {
-    for (int c = 0; c < 4; ++c) {
-      std::vector<int> chunk(16, c);
-      ASSERT_TRUE(q.PushAll(std::move(chunk)));
-    }
-    EXPECT_EQ(q.PopBatchFor(64, nanoseconds(1000), out), 64u);
-    EXPECT_LE(q.PooledCapacity(), 64u) << "round " << round;
-  }
-  EXPECT_GT(q.PooledCapacity(), 0u);  // pooling itself still works
-}
-
 // ------------------------------------------------------------- SPSC queue
 
 TEST(SpscQueue, FifoOrderAcrossChunks) {
@@ -487,8 +273,8 @@ TEST(SpscQueue, DrainAllTakesStashAndRingWithoutWaiting) {
 }
 
 TEST(SpscQueue, DrainDetectorSeesNoInFlightItems) {
-  // The stop-the-world drain invariant, same protocol as the BoundedQueue
-  // stress: mark_busy is raised BEFORE the pop is published, so reading
+  // The stop-the-world drain invariant LocalEngine::Rescale relies on:
+  // mark_busy is raised BEFORE the pop is published, so reading
   // "queue empty, then flag false" proves every pushed item was processed.
   SpscQueue<int> q(16);
   std::atomic<bool> busy{false};
@@ -1261,15 +1047,14 @@ TEST(LocalEngineChaining, ChainingOffDeliversTheSameThroughRealQueues) {
 }
 
 TEST(LocalEngineChaining, SpscBackpressuredPipelineDeliversExactly) {
-  // Chaining off isolates the SPSC selection: every edge here has exactly
-  // one producer task, so both hops ride the lock-free ring.  A tiny
+  // Chaining off keeps both hops real queues: every edge here has exactly
+  // one producer task, so each hop rides a one-lane input queue.  A tiny
   // capacity keeps the flow backpressured, stressing park/unpark.
   constexpr int kTotal = 2000;
   SinkState state;
   LocalEngineOptions opts;
   opts.shipping = ShippingStrategy::kInstantFlush;
   opts.chaining = false;
-  opts.spsc_channels = true;
   opts.queue_capacity = 8;
   LocalEngine engine(LinearGraph(1, 1), opts);
   engine.SetSource("Src", [total = kTotal](std::uint32_t) {
@@ -1422,29 +1207,37 @@ TEST(AllocCounting, CounterObservesBoxedAllocations) {
 
 TEST(AllocCounting, WarmedRecordQueueCycleIsAllocationFree) {
   if (!AllocCountingEnabled()) GTEST_SKIP() << "build with -DESP_COUNT_ALLOCS=ON";
-  // Single-threaded steady-state loop over the full hand-off cycle:
-  // MakeRecord -> producer batch -> lvalue PushAll -> PopBatchFor.  After
-  // warm-up the capacity circulates producer -> chunk -> pool -> producer
-  // and the loop must perform EXACTLY zero heap allocations.
-  BoundedQueue<Record> q(1024);
-  std::vector<Record> batch;
-  std::vector<Record> out;
+  // Single-threaded steady-state loop over the engine's full hand-off
+  // cycle on its input queue, with one lane and with two: MakeRecord ->
+  // producer batch -> lvalue PushAll -> PopBatchFor.  Capacity circulates
+  // producer -> ring slot -> consumer -> ring slot, so once every slot has
+  // been visited -- one ring lap, RingSlots(capacity) pushes however the
+  // lanes split it -- the loop must perform EXACTLY zero heap allocations.
+  constexpr std::size_t kCapacity = 1024;
   constexpr std::size_t kBatch = 64;
-  const auto cycle = [&] {
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      batch.push_back(MakeRecord<std::uint64_t>(i, /*key=*/i));
-    }
-    if (!q.PushAll(batch)) return;
-    std::size_t got = 0;
-    while (got < kBatch) {
-      got += q.PopBatchFor(kBatch, nanoseconds(1'000'000), out);
-    }
-  };
-  for (int warm = 0; warm < 8; ++warm) cycle();
-  const std::uint64_t before = TotalAllocs();
-  for (int rounds = 0; rounds < 200; ++rounds) cycle();
-  EXPECT_EQ(TotalAllocs() - before, 0u)
-      << "steady-state record hand-off touched the heap";
+  for (const std::size_t lane_count : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(lane_count == 1 ? "1 lane" : "2 lanes");
+    FaninLanes<Record> q(kCapacity, lane_count);
+    std::vector<Record> batch;
+    std::vector<Record> out;
+    std::size_t lane = 0;
+    const auto cycle = [&] {
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        batch.push_back(MakeRecord<std::uint64_t>(i, /*key=*/i));
+      }
+      if (!q.PushAll(lane, batch)) return;
+      lane = (lane + 1) % lane_count;
+      std::size_t got = 0;
+      while (got < kBatch) {
+        got += q.PopBatchFor(kBatch, nanoseconds(1'000'000), out);
+      }
+    };
+    for (std::size_t warm = 0; warm < kCapacity + kBatch; ++warm) cycle();
+    const std::uint64_t before = TotalAllocs();
+    for (int rounds = 0; rounds < 200; ++rounds) cycle();
+    EXPECT_EQ(TotalAllocs() - before, 0u)
+        << "steady-state record hand-off touched the heap";
+  }
 }
 
 TEST(AllocCounting, EngineMarginalAllocsPerRecordNearZero) {

@@ -6,9 +6,10 @@
 //
 //   ./build/examples/quickstart
 //
-// What to look for: every record arrives exactly once, and the end-to-end
-// latency histogram sits comfortably under the constraint because the
-// engine picks flush deadlines from the constraint budget.
+// What to look for: every record arrives exactly once (the program exits 1
+// otherwise), and the end-to-end latency histogram sits comfortably under
+// the constraint because the engine picks flush deadlines from the
+// constraint budget.
 #include <cstdio>
 #include <exception>
 
@@ -89,6 +90,10 @@ static int Run() {
               static_cast<unsigned long long>(result.records_delivered));
   std::printf("end-to-end latency: %s (seconds)\n", result.latency.Summary().c_str());
   if (!result.clean()) std::printf("FAILURE: %s\n", result.first_failure().c_str());
+  if (result.records_emitted != result.records_delivered) {
+    std::printf("FAILURE: emitted != delivered\n");
+    return 1;
+  }
   return result.clean() ? 0 : 1;
 }
 

@@ -27,6 +27,15 @@ constexpr std::size_t kPopBatch = 64;
 /// delegating the flush to the active owner via flush_requested.  Claim
 /// holds are tens of nanoseconds, so 2ms is pure defense in depth.
 constexpr nanoseconds kClaimStealGrace{2'000'000};
+/// Longest an idle task thread parks when nothing it owns falls due
+/// sooner.  Every real wake-up source -- a record, Close, the thread's own
+/// flush deadlines, timers and fault triggers -- ends the park on its own;
+/// the cap is defence in depth, so a wake-up the park protocol ever lost
+/// costs a bounded hiccup, never a hang.
+constexpr nanoseconds kIdleParkCap{50'000'000};
+/// The control thread's poll while something has no wake-up of its own:
+/// a restart waiting out its backoff, or the wedge watchdog.
+constexpr nanoseconds kControlPoll{5'000'000};
 }  // namespace
 
 const char* ToString(FailureAction action) {
@@ -162,9 +171,10 @@ struct LocalEngine::LocalTask {
   // at the closed queue.
   std::atomic<bool> quarantined{false};
   // Progress heartbeat: engine-time ns of the last queue-pop return,
-  // stamped by the task thread every loop iteration (>= 1 kHz when idle,
-  // thanks to the 1 ms pop timeout), read by the watchdog.  Non-empty queue
-  // + stale heartbeat = wedged.
+  // stamped by the task thread every loop iteration and read by the
+  // watchdog.  While the watchdog is on, an idle thread parks at most
+  // wedge_deadline / 4 (NextWakeNs), so a healthy heartbeat never goes
+  // stale: non-empty queue + stale heartbeat = wedged.
   std::atomic<std::int64_t> last_progress_ns{0};
   // Degraded-mode metric thinning counter.
   std::uint64_t metric_seq ESP_GUARDED_BY(sampler_mutex) = 0;
@@ -538,9 +548,14 @@ void LocalEngine::ReportTaskFailure(LocalTask* task, const std::string& what,
     failures_.push_back(std::move(ev));
   }
   // Publish AFTER the event so the supervisor (which clears
-  // failure_pending_ before scanning failed flags) always finds the event.
-  task->failed.store(true);
-  failure_pending_.store(true);
+  // failure_pending_ before scanning failed flags) always finds the event;
+  // under control_mutex_ so the control thread's wait cannot miss it.
+  {
+    MutexLock lock(control_mutex_);
+    task->failed.store(true);
+    failure_pending_.store(true);
+  }
+  control_cv_.NotifyAll();
 }
 
 void LocalEngine::SourceLoop(LocalTask* task) {
@@ -560,8 +575,7 @@ void LocalEngine::SourceLoop(LocalTask* task) {
   // A crashed source may be restarted by the supervisor, so it must not
   // close downstream queues -- only a clean end-of-stream does.
   if (!crashed) CloseDownstream(task);
-  task->done.store(true);
-  control_cv_.NotifyAll();
+  PublishDone(task);
 }
 
 void LocalEngine::SourceLoopBody(LocalTask* task, RoutingCollector& collector) {
@@ -616,10 +630,55 @@ void LocalEngine::TaskLoop(LocalTask* task) {
   // batch left raised so the drain detector can settle.
   if (!shutdown_.load() && !crashed) CloseDownstream(task);
   if (crashed) task->busy.store(false);
-  // Fused members live and die with their head's thread.
-  for (LocalTask* m : task->chain_members) m->done.store(true);
-  task->done.store(true);
+  PublishDone(task);
+}
+
+void LocalEngine::PublishDone(LocalTask* task) {
+  // Under control_mutex_: the control thread's wait re-checks
+  // AllTasksFinished under it, so the last task to finish always wakes it.
+  {
+    MutexLock lock(control_mutex_);
+    // Fused members live and die with their head's thread.
+    for (LocalTask* m : task->chain_members) m->done.store(true);
+    task->done.store(true);
+  }
   control_cv_.NotifyAll();
+}
+
+std::int64_t LocalEngine::NextWakeNs(const LocalTask* task,
+                                     std::int64_t now) const {
+  std::int64_t wake = now + kIdleParkCap.count();
+  if (options_.overload.enabled && options_.overload.wedge_deadline > 0) {
+    wake = std::min(wake, now + options_.overload.wedge_deadline / 4);
+  }
+  const auto earliest_due = [&](const LocalTask* t) {
+    // Only adaptive shipping flushes on a deadline; the other strategies
+    // flush on append or at end of stream.  first_entry_ns and
+    // flush_deadline are the lock-free mirrors FlushExpired reads too.
+    if (options_.shipping == ShippingStrategy::kAdaptive) {
+      for (const auto& per_edge : t->outputs) {
+        for (const Channel* ch : per_edge) {
+          const std::int64_t fe = ch->first_entry_ns.load(std::memory_order_relaxed);
+          if (fe != 0) {
+            wake = std::min(wake, fe + ch->flush_deadline.load(std::memory_order_relaxed));
+          }
+        }
+      }
+    }
+    if (t->next_timer_ns > 0) wake = std::min(wake, t->next_timer_ns);  // 0 = no timer
+    const auto* crash = t->fault.crash;
+    if (crash != nullptr && crash->remaining.load(std::memory_order_relaxed) != 0) {
+      wake = std::min(wake, crash->at_time);
+    }
+  };
+  earliest_due(task);
+  for (const LocalTask* m : task->chain_members) earliest_due(m);
+  // An injected wedge starts at the top of the loop, so a parked thread
+  // must be there when it begins rather than process one more batch.
+  if (const auto* w = task->fault.wedge; w != nullptr && w->at_time > now) {
+    wake = std::min(wake, w->at_time);
+  }
+  return wake;
 }
 
 void LocalEngine::TaskLoopBody(LocalTask* task, RoutingCollector& collector) {
@@ -723,14 +782,19 @@ void LocalEngine::TaskLoopBody(LocalTask* task, RoutingCollector& collector) {
         break;
       }
     }
-    // busy is raised under the queue lock so the rescale drain detector
-    // never observes "queue empty + idle" while records are in hand; it
-    // stays raised until the whole batch is processed.
+    // Park until a record arrives or the next event this thread owns falls
+    // due (NextWakeNs).  busy is raised under the queue lock so the rescale
+    // drain detector never observes "queue empty + idle" while records are
+    // in hand; it stays raised until the whole batch is processed.
+    const std::int64_t park_from = NowNs();
+    const nanoseconds park_for(
+        std::max<std::int64_t>(0, NextWakeNs(task, park_from) - park_from));
     const std::size_t n =
-        task->input->PopBatchFor(kPopBatch, nanoseconds(1'000'000), batch, &task->busy);
+        task->input->PopBatchFor(kPopBatch, park_for, batch, &task->busy);
     const std::int64_t now = NowNs();
-    // Watchdog heartbeat: the 1 ms pop timeout bounds the stamp interval, so
-    // a stale heartbeat means the loop is stuck, not merely idle.
+    // Watchdog heartbeat: with the watchdog on, NextWakeNs bounds the park
+    // at wedge_deadline / 4, so a stale heartbeat means the loop is stuck,
+    // not merely idle.
     task->last_progress_ns.store(now, std::memory_order_relaxed);
 
     bool timer_fired = false;
@@ -1907,6 +1971,19 @@ bool LocalEngine::AllTasksFinished() {
   return true;
 }
 
+void LocalEngine::WaitForControlEvent(std::int64_t wake_ns) {
+  // A failure already pending at entry is being polled (restart backoff),
+  // so only the run finishing or wake_ns ends this wait; otherwise a newly
+  // raised failure_pending_ ends it too.  Both signals are published under
+  // control_mutex_, so neither can land between the check and the wait.
+  MutexLock lock(control_mutex_);
+  const bool polling = failure_pending_.load();
+  const auto deadline = epoch_zero_ + nanoseconds(wake_ns);
+  while (!AllTasksFinished() && (polling || !failure_pending_.load())) {
+    if (control_cv_.WaitUntil(lock, deadline) == std::cv_status::timeout) break;
+  }
+}
+
 EngineResult LocalEngine::Run(SimDuration max_duration) {
   if (ran_) throw std::logic_error("LocalEngine::Run: already ran");
   ran_ = true;
@@ -1921,19 +1998,30 @@ EngineResult LocalEngine::Run(SimDuration max_duration) {
                                     std::max<SimDuration>(1, measurement_ns)));
   std::int64_t next_tick = measurement_ns;
   std::uint32_t tick = 0;
+  const bool watchdog =
+      options_.overload.enabled && options_.overload.wedge_deadline > 0;
 
   while (!AllTasksFinished()) {
     if (terminate_.load()) break;
-    if (max_duration > 0 && NowNs() >= max_duration) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const std::int64_t now = NowNs();
+    if (max_duration > 0 && now >= max_duration) break;
+    // Sleep until the next measurement tick or the end of the run.  The
+    // last task finishing or a task failing ends the wait early; only a
+    // restart waiting out its backoff and the watchdog still poll.
+    std::int64_t wake = next_tick;
+    if (max_duration > 0) wake = std::min(wake, max_duration);
+    if (watchdog || failure_pending_.load()) {
+      wake = std::min(wake, now + kControlPoll.count());
+    }
+    WaitForControlEvent(wake);
     // Supervision point: a dying task raised failure_pending_; apply the
     // failure policy (restart / backoff / terminate) before the QoS tick.
     if (failure_pending_.load() && !Supervise()) break;
     // SLO watchdog: isolate a wedged task (stale heartbeat + non-empty
-    // queue) within wedge_deadline of it wedging -- every 5 ms poll, not
+    // queue) within wedge_deadline of it wedging -- every control poll, not
     // just at adjustment boundaries, so detection is bounded by the
     // deadline itself.
-    if (options_.overload.enabled && options_.overload.wedge_deadline > 0) {
+    if (watchdog) {
       if (LocalTask* wedged = FindWedgedTask(NowNs())) {
         if (!QuarantineTask(wedged)) break;
       }

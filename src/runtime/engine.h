@@ -231,6 +231,16 @@ class LocalEngine {
   void SourceLoopBody(LocalTask* task, RoutingCollector& collector);
   void TaskLoop(LocalTask* task);
   void TaskLoopBody(LocalTask* task, RoutingCollector& collector);
+  /// Marks a finished task thread (and its fused members) done under
+  /// control_mutex_ and wakes the control thread.
+  void PublishDone(LocalTask* task);
+  /// Engine time at which the idle task thread must next run its loop: the
+  /// earliest flush deadline of a non-empty output buffer it owns (its own
+  /// channels and its fused members'), timer or armed crash/wedge trigger,
+  /// wedge_deadline / 4 while the watchdog is on, capped at now + 50 ms.
+  /// A deadline the control thread lowers while the thread is parked takes
+  /// effect at the next wake-up.
+  std::int64_t NextWakeNs(const LocalTask* task, std::int64_t now) const;
   /// Runs a fused member's UDF synchronously on the chain head's thread:
   /// no queue, no envelope, and (off the sampling cadence) no clock read.
   /// Per-record metric attribution lands in the member's ChainMetricStaging.
@@ -288,6 +298,9 @@ class LocalEngine {
   void ControlTick();
   void HarvestTaskMetrics(LocalTask* task);
   bool AllTasksFinished();
+  /// Control-thread sleep until engine time `wake_ns`, ended early by the
+  /// last task finishing or a newly raised failure_pending_.
+  void WaitForControlEvent(std::int64_t wake_ns);
   SimDuration FlushDeadlineForEdge(std::uint32_t edge) const;
 
   // ---- failure recovery (control thread only) ----------------------------
@@ -362,7 +375,9 @@ class LocalEngine {
   // Pause/teardown signalling.  control_mutex_ orders the park handshake:
   // a source increments parked_sources_ and waits on control_cv_ under it;
   // the control thread reads the count under it, so "parked" is never
-  // observed before the source is actually committed to the wait.
+  // observed before the source is actually committed to the wait.  Task
+  // threads also publish `done` and failure_pending_ under it, so the
+  // control thread's WaitForControlEvent never sleeps through either.
   Mutex control_mutex_;
   CondVar control_cv_;
   std::atomic<bool> pause_requested_{false};

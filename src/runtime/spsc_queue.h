@@ -320,6 +320,9 @@ class SpscQueue {
   /// Producer side.  No overall deadline: a full queue IS the engine's
   /// backpressure, as with Nephele's bounded channels.  The waits
   /// are timed anyway so a lost wakeup degrades to a 1ms hiccup, not a hang.
+  /// This 1 ms timed wait is producer-side only: the engine's consumers
+  /// park until their task's next due event (capped at 50 ms), see
+  /// LocalEngine::NextWakeNs.
   void ParkProducer() ESP_EXCLUDES(park_mutex_) ESP_BLOCKING {
     producer_parked_.store(true, std::memory_order_seq_cst);
     {

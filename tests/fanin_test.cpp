@@ -3,9 +3,12 @@
 // owner-vs-stealer race) and FaninLanes (per-lane FIFO under concurrent
 // producers, round-robin merge fairness, the aggregate park handshake, and
 // the recovery surface: PushFront re-admission, DrainAll salvage, close
-// wakes all), plus engine-level lane recovery -- quarantining a lane's
-// producer mid-burst and stop-the-world rescales dissolving and re-forming
-// a laned edge without losing a record.
+// wakes all), the lost-wake-up tripwire (single-record ping-pong through
+// FaninLanes and SpscQueue, whose consumers park with a 1 s timeout), plus
+// engine-level lane recovery -- quarantining a lane's producer mid-burst
+// and stop-the-world rescales dissolving and re-forming a laned edge
+// without losing a record.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -20,6 +23,7 @@
 #include "runtime/engine.h"
 #include "runtime/fanin_lanes.h"
 #include "runtime/record.h"
+#include "runtime/spsc_queue.h"
 
 namespace esp::runtime {
 namespace {
@@ -337,6 +341,83 @@ TEST(FaninLanes, DrainDetectorSeesNoInFlightItems) {
   lanes.Close();
   consumer.join();
   EXPECT_EQ(processed.load(), pushed);
+}
+
+// ------------------------------------------------------ lost-wake tripwire
+
+// Idle LocalEngine task threads no longer poll their input queue: they park
+// until their next due event (or a 50 ms cap), so the Dekker park handshake
+// is the only thing that wakes them for a record.  These ping-pongs bounce
+// one record at a time between two threads whose pops park with a 1 s
+// timeout; every round trip therefore crosses two park/wake handshakes, and
+// a lost wake-up shows up as a >= 1 s stall.
+constexpr int kRoundTrips = 20000;
+constexpr auto kParkTimeout = std::chrono::seconds(1);
+constexpr auto kSlowestAllowed = milliseconds(50);
+
+// `push(round, items)` / `pop(items)` per direction; returns the slowest
+// round trip.  The echo thread bounces each value back unchanged.
+template <typename Push, typename Pop>
+nanoseconds SlowestPingPong(Push ping_push, Pop ping_pop, Push pong_push, Pop pong_pop) {
+  std::thread echo([&] {
+    std::vector<int> in;
+    for (int round = 0; round < kRoundTrips; ++round) {
+      while (ping_pop(in) == 0) {
+      }
+      std::vector<int> back{in.front()};
+      pong_push(round, back);
+    }
+  });
+  nanoseconds slowest{0};
+  std::vector<int> in;
+  for (int round = 0; round < kRoundTrips; ++round) {
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<int> out{round};
+    ping_push(round, out);
+    while (pong_pop(in) == 0) {
+    }
+    slowest = std::max(slowest, std::chrono::duration_cast<nanoseconds>(
+                                    std::chrono::steady_clock::now() - t0));
+    EXPECT_EQ(in.front(), round);
+  }
+  echo.join();
+  return slowest;
+}
+
+// Both directions over FaninLanes with `lanes` lanes; round r pushes on
+// lane r % lanes, so each lane keeps a single producer thread.
+nanoseconds SlowestFaninPingPong(std::size_t lanes) {
+  FaninLanes<int> ping(64, lanes);
+  FaninLanes<int> pong(64, lanes);
+  const auto push = [lanes](FaninLanes<int>& q) {
+    return [&q, lanes](int round, std::vector<int>& items) {
+      EXPECT_TRUE(q.PushAll(static_cast<std::size_t>(round) % lanes, items));
+    };
+  };
+  const auto pop = [](FaninLanes<int>& q) {
+    return [&q](std::vector<int>& items) { return q.PopBatchFor(8, kParkTimeout, items); };
+  };
+  return SlowestPingPong(push(ping), pop(ping), push(pong), pop(pong));
+}
+
+TEST(LostWakeTripwire, FaninLanesOneLane) {
+  EXPECT_LT(SlowestFaninPingPong(1), kSlowestAllowed);
+}
+
+TEST(LostWakeTripwire, FaninLanesTwoLanes) {
+  EXPECT_LT(SlowestFaninPingPong(2), kSlowestAllowed);
+}
+
+TEST(LostWakeTripwire, SpscQueue) {
+  SpscQueue<int> ping(64);
+  SpscQueue<int> pong(64);
+  const auto push = [](SpscQueue<int>& q) {
+    return [&q](int, std::vector<int>& items) { EXPECT_TRUE(q.PushAll(items)); };
+  };
+  const auto pop = [](SpscQueue<int>& q) {
+    return [&q](std::vector<int>& items) { return q.PopBatchFor(8, kParkTimeout, items); };
+  };
+  EXPECT_LT(SlowestPingPong(push(ping), pop(ping), push(pong), pop(pong)), kSlowestAllowed);
 }
 
 // ----------------------------------------------------------------- engine

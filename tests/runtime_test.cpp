@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <set>
 #include <string>
 #include <thread>
@@ -970,6 +971,152 @@ TEST(LocalEngineFaults, StuckUdfSurfacesAsTeardownFailure) {
 
     // Unstick the abandoned thread; the engine destructor joins it.
     release.store(true);
+  }
+}
+
+TEST(LocalEngineFaults, CrashAtTimeFiresOnAnIdleConsumer) {
+  // The crash trigger is engine time, not a record, so it must fire while
+  // Mid is parked with nothing to do: the parked thread's wake-up time
+  // includes the armed trigger.  The first half of the stream is long
+  // delivered by T; the restarted Mid takes the second half.  Mid first
+  // parks about 1 ms in, so a park that ignored the trigger would only
+  // notice it at the 50 ms idle cap, at ~251 ms: T = 226 ms puts that
+  // ~25 ms late, outside the 20 ms bound.
+  constexpr std::int64_t kCrashAtMs = 226;
+  constexpr int kPerPhase = 50;
+  class TwoBurstSource final : public SourceFunction {
+   public:
+    bool Produce(Collector& out) override {
+      if (next_ == kPerPhase) std::this_thread::sleep_for(milliseconds(400));
+      if (next_ >= 2 * kPerPhase) return false;
+      out.Emit(MakeRecord<int>(next_, static_cast<std::uint64_t>(next_)));
+      ++next_;
+      return true;
+    }
+
+   private:
+    int next_ = 0;
+  };
+
+  SinkState state;
+  FaultInjector injector(7);
+  injector.CrashAtTime("Mid", 0, FromMillis(kCrashAtMs));
+  LocalEngineOptions opts;
+  opts.shipping = ShippingStrategy::kInstantFlush;  // no buffered record outlives its emit
+  opts.recovery.policy = FailurePolicy::kRestartTask;
+  opts.recovery.backoff_initial = FromMillis(5);
+  opts.fault_injector = &injector;
+  LocalEngine engine(LinearGraph(1, 1), opts);
+  engine.SetSource("Src", [](std::uint32_t) { return std::make_unique<TwoBurstSource>(); });
+  engine.SetUdf("Mid", [](std::uint32_t) { return std::make_unique<ScaleUdf>(3); });
+  engine.SetUdf("Snk",
+                [&](std::uint32_t s) { return std::make_unique<CollectSink>(&state, s); });
+  const EngineResult result = engine.Run(FromSeconds(20));
+
+  ASSERT_EQ(result.failures.size(), 1u) << result.first_failure();
+  const FailureEvent& ev = result.failures.front();
+  EXPECT_EQ(ev.vertex, "Mid");
+  EXPECT_TRUE(ev.recovered) << ev.Format();
+  EXPECT_NEAR(static_cast<double>(ev.time) * 1e-6, static_cast<double>(kCrashAtMs), 20.0)
+      << ev.Format();
+  EXPECT_EQ(result.restarts, 1u);
+  EXPECT_EQ(result.records_delivered, static_cast<std::uint64_t>(2 * kPerPhase));
+  EXPECT_EQ(SumOfValues(state), 3LL * (2 * kPerPhase) * (2 * kPerPhase - 1) / 2);
+}
+
+// ------------------------------------------------------------- idle parking
+
+long long SteadyNowNs() {
+  return std::chrono::duration_cast<nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+TEST(LocalEngineIdle, IdleJobBurnsAlmostNoCpu) {
+  // Src -> Mid(p=2) -> Snk on default options, with a source that emits
+  // nothing for 2 s.  Idle task threads park until their next due event
+  // (capped at 50 ms) and the control thread until its next tick, so the
+  // whole process stays far below one busy-polling thread.  A 1 kHz poll
+  // per task thread costs ~60 ms of CPU per wall second here.
+  class SilentSource final : public SourceFunction {
+   public:
+    bool Produce(Collector&) override {
+      std::this_thread::sleep_for(milliseconds(2000));
+      return false;
+    }
+  };
+  const auto process_cpu_ns = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e9 + static_cast<double>(ts.tv_nsec);
+  };
+
+  LocalEngine engine(LinearGraph(2, 2), LocalEngineOptions{});
+  engine.SetSource("Src", [](std::uint32_t) { return std::make_unique<SilentSource>(); });
+  engine.SetUdf("Mid", [](std::uint32_t) { return std::make_unique<ScaleUdf>(1); });
+  engine.SetUdf("Snk", [](std::uint32_t) { return std::make_unique<ScaleUdf>(1); });
+  const double cpu0 = process_cpu_ns();
+  const auto t0 = std::chrono::steady_clock::now();
+  const EngineResult result = engine.Run(FromSeconds(20));
+  const double wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  const double cpu_ms_per_s = (process_cpu_ns() - cpu0) * 1e-6 / wall_s;
+
+  EXPECT_TRUE(result.clean()) << result.first_failure();
+  EXPECT_EQ(result.records_emitted, 0u);
+  EXPECT_GE(wall_s, 1.9);
+  EXPECT_LE(cpu_ms_per_s, 15.0) << "idle CPU " << cpu_ms_per_s << " ms per wall second";
+}
+
+TEST(LocalEngineIdle, DeadlineFlushOfAnIdleProducerLandsOnTime) {
+  // Adaptive shipping, no constraint: every edge flushes on the 20 ms
+  // minimum deadline.  Records arrive 100 ms apart, so after each emit Mid
+  // parks with exactly one buffered record -- its wake-up must be that
+  // record's flush deadline, not a later poll or the idle cap.
+  constexpr int kTotal = 10;
+  constexpr double kDeadlineMs = 20.0;
+  struct HopState {
+    Mutex mutex;
+    std::vector<double> hop_ms ESP_GUARDED_BY(mutex);
+  };
+  // Mid stamps its emit time into the payload; Snk measures the hop.
+  class StampUdf final : public Udf {
+   public:
+    void OnRecord(const Record& r, Collector& out) override {
+      out.Emit(MakeRecord<long long>(SteadyNowNs(), r.key));
+    }
+  };
+  class HopSink final : public Udf {
+   public:
+    explicit HopSink(HopState* state) : state_(state) {}
+    void OnRecord(const Record& r, Collector&) override {
+      const double ms = static_cast<double>(SteadyNowNs() - Get<long long>(r)) * 1e-6;
+      MutexLock lock(state_->mutex);
+      state_->hop_ms.push_back(ms);
+    }
+
+   private:
+    HopState* state_;
+  };
+
+  HopState state;
+  LocalEngineOptions opts;
+  opts.shipping = ShippingStrategy::kAdaptive;
+  opts.batching.min_deadline = FromMillis(20);
+  opts.chaining = false;  // Mid -> Snk at p = 1 would fuse: no buffer, no hop
+  LocalEngine engine(LinearGraph(1, 1), opts);
+  engine.SetSource("Src", [total = kTotal](std::uint32_t) {
+    return std::make_unique<CountingSource>(total, milliseconds(100));
+  });
+  engine.SetUdf("Mid", [](std::uint32_t) { return std::make_unique<StampUdf>(); });
+  engine.SetUdf("Snk", [&](std::uint32_t) { return std::make_unique<HopSink>(&state); });
+  const EngineResult result = engine.Run(FromSeconds(20));
+
+  EXPECT_EQ(result.records_delivered, static_cast<std::uint64_t>(kTotal));
+  MutexLock lock(state.mutex);
+  ASSERT_EQ(state.hop_ms.size(), static_cast<std::size_t>(kTotal));
+  for (std::size_t i = 0; i < state.hop_ms.size(); ++i) {
+    EXPECT_LE(state.hop_ms[i], kDeadlineMs + 5.0) << "record " << i;
   }
 }
 

@@ -1,13 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the latency model and the
 // Rebalance gradient descent, including the paper's §IV-D complexity claim:
 // the variable step size needs far fewer iterations than unit steps, making
-// Rebalance cheap even for huge maximum parallelism m.
+// Rebalance cheap even for huge maximum parallelism m.  The last group
+// measures the simulator's per-event layers: the event queue and the
+// random draws behind every simulated service time.
 #include <benchmark/benchmark.h>
 
+#include "common/rng.h"
 #include "core/rebalance.h"
 #include "core/scale_reactively.h"
 #include "model/latency_model.h"
 #include "qos/manager.h"
+#include "sim/event_queue.h"
+#include "sim/task_logic.h"
 
 namespace esp {
 namespace {
@@ -153,6 +158,87 @@ void BM_PartialSummary(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PartialSummary)->Arg(64)->Arg(512);
+
+// ------------------------------------------------------------- simulator
+
+// Scheduling delays in the proportions the elastic PrimeTester simulation
+// (espbench sim_elastic) produces them, measured per event type:
+//   15 % source emissions: a quarter due at once (catch-up), the rest
+//        exponential with a 4 ms mean;
+//   44 % service completions: sink-sized (32-128 us), 0.5-2 ms, 2-8 ms;
+//   20 % flush deadlines, 4.2-8.4 ms;  20 % batch arrivals, 262-524 us;
+//   a few ticks and task start-ups 1-10 s ahead.
+std::vector<SimDuration> SimulatorDelayMix() {
+  Rng rng(15);
+  std::vector<SimDuration> delays(1 << 16);
+  for (SimDuration& d : delays) {
+    const double kind = rng.NextDouble();
+    if (kind < 0.15) {
+      d = rng.Bernoulli(0.25) ? 0 : FromSeconds(rng.Exponential(250.0));
+    } else if (kind < 0.59) {
+      const double size = rng.NextDouble();
+      d = size < 0.3    ? FromMicros(rng.Uniform(32, 128))
+          : size < 0.65 ? FromMicros(rng.Uniform(500, 2000))
+                        : FromMicros(rng.Uniform(2000, 8000));
+    } else if (kind < 0.79) {
+      d = FromMicros(rng.Uniform(4200, 8400));
+    } else if (kind < 0.999) {
+      d = FromMicros(rng.Uniform(262, 524));
+    } else {
+      d = FromSeconds(rng.Uniform(1, 10));
+    }
+  }
+  return delays;
+}
+
+// One Pop plus one Schedule per iteration at a constant number of pending
+// events (the simulator holds ~100-300 at 8-130 tasks).
+void BM_EventQueue(benchmark::State& state) {
+  const std::vector<SimDuration> delays = SimulatorDelayMix();
+  const std::size_t mask = delays.size() - 1;
+  sim::EventQueue queue;
+  std::size_t next = 0;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    queue.Schedule(delays[next++ & mask], sim::EventType::kServiceDone,
+                   static_cast<std::uint32_t>(i));
+  }
+  for (auto _ : state) {
+    const sim::Event e = queue.Pop();
+    benchmark::DoNotOptimize(e);
+    queue.Schedule(queue.Now() + delays[next++ & mask], sim::EventType::kServiceDone, e.a);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueue)->Arg(64)->Arg(256)->Arg(1024);
+
+// A log-normal draw from (mean, cv), deriving the underlying normal's
+// parameters on every call.
+void BM_RngLogNormal(benchmark::State& state) {
+  Rng rng(15);
+  const double mean = 1e-3 * static_cast<double>(state.range(0));
+  for (auto _ : state) {
+    const double draw = rng.LogNormalMeanCv(mean, 0.3);
+    benchmark::DoNotOptimize(draw);
+  }
+}
+BENCHMARK(BM_RngLogNormal)->Arg(3);
+
+// The simulated service-time draw of a sink-like StatelessLogic (no
+// outputs): the same log-normal variate, as the simulator makes it.
+void BM_ServiceTimeDraw(benchmark::State& state) {
+  sim::StatelessLogic::Params params;
+  params.service_mean = 0.003;
+  params.service_cv = 0.3;
+  sim::StatelessLogic logic(params);
+  Rng rng(15);
+  const sim::SimItem item;
+  std::vector<sim::EmitRequest> out;
+  for (auto _ : state) {
+    const double draw = logic.OnItem(0, item, rng, out);
+    benchmark::DoNotOptimize(draw);
+  }
+}
+BENCHMARK(BM_ServiceTimeDraw);
 
 }  // namespace
 }  // namespace esp

@@ -16,6 +16,7 @@
 #include <exception>
 #include <chrono>
 #include <cstdio>
+#include <utility>
 
 #include "common/rng.h"
 #include "runtime/engine.h"
@@ -64,7 +65,9 @@ class PrimeTesterUdf final : public Udf {
   void OnRecord(const Record& r, Collector& out) override {
     const int primes = workloads::PrimeTestBurn(Get<std::uint64_t>(r), rounds_);
     std::this_thread::sleep_for(verify_rtt_);  // simulated verification RTT
-    out.Emit(MakeRecord<int>(primes, r.key));
+    Record result = MakeRecord<int>(primes, r.key);
+    result.source_emit_ns = r.source_emit_ns;  // keep the lineage: latency is source-to-sink
+    out.Emit(std::move(result));
   }
 
  private:

@@ -12,6 +12,7 @@
 // constraint budget.
 #include <cstdio>
 #include <exception>
+#include <utility>
 
 #include "runtime/engine.h"
 
@@ -42,7 +43,9 @@ class SquareUdf final : public Udf {
  public:
   void OnRecord(const Record& r, Collector& out) override {
     const long long v = Get<long long>(r);
-    out.Emit(MakeRecord<long long>(v * v, r.key));
+    Record square = MakeRecord<long long>(v * v, r.key);
+    square.source_emit_ns = r.source_emit_ns;  // keep the lineage: latency is source-to-sink
+    out.Emit(std::move(square));
   }
 };
 

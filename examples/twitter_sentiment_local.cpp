@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -68,6 +69,8 @@ class HotTopicsUdf final : public Udf {
     for (std::size_t i = 0; i < std::min<std::size_t>(5, ranked.size()); ++i) {
       top.push_back(ranked[i].first);
     }
+    // A window result starts a fresh lineage (as the simulator's
+    // WindowedLogic does): it stands for many tweets, not one.
     out.Emit(MakeRecord<std::vector<std::uint64_t>>(std::move(top), 0, kTagTopicList));
     counts_.clear();
   }
@@ -119,8 +122,10 @@ class SentimentUdf final : public Udf {
  public:
   void OnRecord(const Record& r, Collector& out) override {
     const Tweet& tweet = Get<Tweet>(r);
-    out.Emit(MakeRecord<ScoredTweet>({tweet.topic, lexicon_.Classify(tweet.text)},
-                                     tweet.topic));
+    Record scored =
+        MakeRecord<ScoredTweet>({tweet.topic, lexicon_.Classify(tweet.text)}, tweet.topic);
+    scored.source_emit_ns = r.source_emit_ns;  // keep the lineage: latency is source-to-sink
+    out.Emit(std::move(scored));
   }
 
  private:

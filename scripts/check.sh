@@ -2,7 +2,8 @@
 # Full pre-merge check: release build + test suite, then sanitizer builds of
 # the threaded-runtime tests -- TSan (the hot path is lock-striped and
 # wakeup-throttled; this is the gate that keeps it honest), ASan (restart
-# paths recycle queues/channels across epochs) and UBSan.
+# paths recycle queues/channels across epochs) and UBSan, the latter two
+# also over the simulator's tests.
 #
 # Usage: scripts/check.sh [jobs]
 set -euo pipefail
@@ -51,16 +52,22 @@ cmake --build build-tsan -j "$JOBS" --target runtime_test --target fanin_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/runtime_test
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/fanin_test
 
-echo "== AddressSanitizer build of runtime_test + fanin_test =="
-cmake -B build-asan -S . -DESP_SANITIZE=address >/dev/null
-cmake --build build-asan -j "$JOBS" --target runtime_test --target fanin_test
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=0" ./build-asan/tests/runtime_test
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=0" ./build-asan/tests/fanin_test
+# The simulator's tests run under ASan and UBSan too: its event queue and
+# per-task queues are index-based pools and rings.
+SANITIZED_TESTS=(runtime_test fanin_test sim_test workloads_test integration_test)
 
-echo "== UndefinedBehaviorSanitizer build of runtime_test + fanin_test =="
+echo "== AddressSanitizer build of ${SANITIZED_TESTS[*]} =="
+cmake -B build-asan -S . -DESP_SANITIZE=address >/dev/null
+cmake --build build-asan -j "$JOBS" ${SANITIZED_TESTS[@]/#/--target }
+for t in "${SANITIZED_TESTS[@]}"; do
+  ASAN_OPTIONS="halt_on_error=1:detect_leaks=0" "./build-asan/tests/$t"
+done
+
+echo "== UndefinedBehaviorSanitizer build of ${SANITIZED_TESTS[*]} =="
 cmake -B build-ubsan -S . -DESP_SANITIZE=undefined >/dev/null
-cmake --build build-ubsan -j "$JOBS" --target runtime_test --target fanin_test
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" ./build-ubsan/tests/runtime_test
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" ./build-ubsan/tests/fanin_test
+cmake --build build-ubsan -j "$JOBS" ${SANITIZED_TESTS[@]/#/--target }
+for t in "${SANITIZED_TESTS[@]}"; do
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" "./build-ubsan/tests/$t"
+done
 
 echo "All checks passed."

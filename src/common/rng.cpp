@@ -14,32 +14,11 @@ std::uint64_t SplitMix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t s = seed;
   for (auto& word : state_) word = SplitMix64(s);
-}
-
-std::uint64_t Rng::Next() noexcept ESP_NONBLOCKING {
-  const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() noexcept ESP_NONBLOCKING {
-  // 53 top bits -> uniform double in [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
@@ -74,9 +53,17 @@ double Rng::LogNormalMeanCv(double mean, double cv) {
   if (mean <= 0) throw std::invalid_argument("LogNormalMeanCv: mean must be > 0");
   if (cv < 0) throw std::invalid_argument("LogNormalMeanCv: cv must be >= 0");
   if (cv == 0) return mean;
-  const double sigma2 = std::log(1.0 + cv * cv);
-  const double mu = std::log(mean) - 0.5 * sigma2;
-  return std::exp(Normal(mu, std::sqrt(sigma2)));
+  const LogNormalParams params = LogNormalParams::FromMeanCv(mean, cv);
+  return LogNormal(params.mu, params.sigma);
+}
+
+double Rng::LogNormal(double mu, double sigma) { return std::exp(Normal(mu, sigma)); }
+
+double LogNormalParams::Sigma2(double cv) { return std::log(1.0 + cv * cv); }
+
+LogNormalParams LogNormalParams::FromMeanCv(double mean, double cv) {
+  const double sigma2 = Sigma2(cv);
+  return {std::log(mean) - 0.5 * sigma2, std::sqrt(sigma2)};
 }
 
 double Rng::Gamma(double shape, double scale) {
@@ -102,16 +89,6 @@ double Rng::Gamma(double shape, double scale) {
       return d * v * scale;
     }
   }
-}
-
-bool Rng::Bernoulli(double p) noexcept ESP_NONBLOCKING {
-  // Degenerate probabilities short-circuit without advancing the stream:
-  // NextDouble() is in [0, 1), so the outcome is already determined, and the
-  // hot samplers run with p = 1.0 by default (every draw would be a wasted
-  // xoshiro step).
-  if (p >= 1.0) return true;
-  if (p <= 0.0) return false;
-  return NextDouble() < p;
 }
 
 std::uint64_t Rng::Zipf(std::uint64_t n, double s) {

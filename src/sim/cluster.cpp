@@ -38,6 +38,7 @@ ClusterSimulation::ClusterSimulation(JobGraph graph, SimConfig config)
     managers_.emplace_back(config_.qos_history);
   }
   routing_.resize(graph_.edge_count());
+  flush_deadline_by_edge_.assign(graph_.edge_count(), config_.batching.min_deadline);
 }
 
 ClusterSimulation::~ClusterSimulation() = default;
@@ -160,6 +161,7 @@ std::uint32_t ClusterSimulation::CreateTask(JobVertexId vertex, std::uint32_t su
   task.rng = rng_.Fork();
   task.is_source = jv.inputs.empty();
   task.rr.assign(jv.outputs.size(), 0);
+  task.channel_cache.resize(jv.outputs.size());
 
   if (task.is_source) {
     const auto fit = source_factories_.find(jv.name);
@@ -183,6 +185,7 @@ std::uint32_t ClusterSimulation::CreateTask(JobVertexId vertex, std::uint32_t su
     task.generation = tasks_[old_ti].generation + 1;
     task.in_channels = tasks_[old_ti].in_channels;
     task.out_channels = tasks_[old_ti].out_channels;
+    task.channel_cache = std::move(tasks_[old_ti].channel_cache);
     tasks_[old_ti] = std::move(task);
     ti = old_ti;
   } else {
@@ -197,7 +200,7 @@ std::uint32_t ClusterSimulation::CreateTask(JobVertexId vertex, std::uint32_t su
     ActivateTask(ti);
   } else {
     events_.Schedule(events_.Now() + config_.task_start_delay, EventType::kTaskStarted, ti,
-                     0, tasks_[ti].generation);
+                     tasks_[ti].generation);
   }
   if (tasks_[ti].is_source) source_tasks_.push_back(ti);
   return ti;
@@ -225,7 +228,7 @@ void ClusterSimulation::ActivateTask(std::uint32_t ti) {
     if (interval >= 0) {
       task.source_done = false;
       task.next_tick = events_.Now() + FromSeconds(interval);
-      events_.Schedule(task.next_tick, EventType::kSourceEmit, ti, 0, task.generation);
+      events_.Schedule(task.next_tick, EventType::kSourceEmit, ti, task.generation);
     } else {
       task.source_done = true;
     }
@@ -233,7 +236,7 @@ void ClusterSimulation::ActivateTask(std::uint32_t ti) {
     // Random phase so windows across tasks do not fire in lockstep.
     const SimDuration phase = static_cast<SimDuration>(
         task.rng.NextDouble() * static_cast<double>(task.logic->TimerPeriod()));
-    events_.Schedule(events_.Now() + phase, EventType::kTaskTimer, ti, 0, task.generation);
+    events_.Schedule(events_.Now() + phase, EventType::kTaskTimer, ti, task.generation);
   }
 }
 
@@ -321,8 +324,8 @@ void ClusterSimulation::CrashTask(std::uint32_t ti, bool restart) {
   for (std::uint32_t ci : task.in_channels) {
     Channel& ch = channels_[ci];
     lost += ch.buffer.size();
-    for (const Batch& b : ch.in_transit) lost += b.items.size();
-    for (const Batch& b : ch.ready) lost += b.items.size();
+    for (std::size_t i = 0; i < ch.in_transit.size(); ++i) lost += ch.in_transit[i].items.size();
+    for (std::size_t i = 0; i < ch.ready.size(); ++i) lost += ch.ready[i].items.size();
     ch.buffer.clear();
     ch.buffer_bytes = 0;
     ch.in_transit.clear();
@@ -416,6 +419,15 @@ std::uint32_t ClusterSimulation::GetOrCreateChannel(JobEdgeId edge, std::uint32_
   return ci;
 }
 
+std::uint32_t ClusterSimulation::CachedChannel(std::uint32_t ti, std::uint32_t output_index,
+                                               JobEdgeId edge, std::uint32_t cons_sub) {
+  std::vector<std::uint32_t>& cache = tasks_[ti].channel_cache[output_index];
+  if (cons_sub >= cache.size()) cache.resize(cons_sub + 1, kNoChannel);
+  std::uint32_t& slot = cache[cons_sub];
+  if (slot == kNoChannel) slot = GetOrCreateChannel(edge, tasks_[ti].id.subtask, cons_sub);
+  return slot;
+}
+
 void ClusterSimulation::RebuildRouting(JobEdgeId edge) {
   const JobEdge& je = graph_.edge(edge);
   EdgeRouting& routing = routing_[Value(edge)];
@@ -426,9 +438,7 @@ void ClusterSimulation::RebuildRouting(JobEdgeId edge) {
   for (std::uint32_t s = 0; s < p_target; ++s) {
     const auto it = task_index_.find(TaskId{je.target, s});
     if (it == task_index_.end()) continue;
-    if (tasks_[it->second].state == TaskState::kRunning) {
-      routing.consumers.push_back(it->second);
-    }
+    if (tasks_[it->second].state == TaskState::kRunning) routing.consumers.push_back(s);
   }
 
   if (je.pattern == WiringPattern::kPointwise && !routing.consumers.empty()) {
@@ -531,9 +541,9 @@ void ClusterSimulation::ResolveEmissions(std::uint32_t ti,
 
     const std::size_t first = out.size();
     if (broadcast) {
-      for (std::uint32_t cons_ti : *pool) {
+      for (std::uint32_t cons_sub : *pool) {
         ResolvedEmit re;
-        re.channel = GetOrCreateChannel(edge, task.id.subtask, tasks_[cons_ti].id.subtask);
+        re.channel = CachedChannel(ti, req.output_index, edge, cons_sub);
         re.item = base;
         // Only the first copy keeps the probe: recording the same probe once
         // per broadcast target would overweight broadcast hops.
@@ -543,7 +553,7 @@ void ClusterSimulation::ResolveEmissions(std::uint32_t ti,
       }
     } else {
       ResolvedEmit re;
-      re.channel = GetOrCreateChannel(edge, task.id.subtask, tasks_[single].id.subtask);
+      re.channel = CachedChannel(ti, req.output_index, edge, single);
       re.item = base;
       MaybeStartProbeAtEdge(re.item, edge);
       out.push_back(re);
@@ -551,10 +561,11 @@ void ClusterSimulation::ResolveEmissions(std::uint32_t ti,
   }
 }
 
-SimDuration ClusterSimulation::FlushDeadlineFor(const Channel& ch) const {
-  const auto it = flush_deadlines_.find(Value(ch.id.edge));
-  if (it != flush_deadlines_.end()) return it->second;
-  return config_.batching.min_deadline;
+void ClusterSimulation::SetFlushDeadlines(FlushDeadlines deadlines) {
+  flush_deadlines_ = std::move(deadlines);
+  std::fill(flush_deadline_by_edge_.begin(), flush_deadline_by_edge_.end(),
+            config_.batching.min_deadline);
+  for (const auto& [edge, deadline] : flush_deadlines_) flush_deadline_by_edge_[edge] = deadline;
 }
 
 bool ClusterSimulation::CanFlush(const Channel& ch) const {
@@ -610,8 +621,8 @@ bool ClusterSimulation::AppendToChannel(std::uint32_t ci, SimItem item, bool all
         }
       } else if (!ch.deadline_armed) {
         ch.deadline_armed = true;
-        events_.Schedule(events_.Now() + FlushDeadlineFor(ch), EventType::kFlushDeadline,
-                         ci, 0, ch.deadline_generation);
+        events_.Schedule(events_.Now() + flush_deadline_by_edge_[Value(ch.id.edge)],
+                         EventType::kFlushDeadline, ci, ch.deadline_generation);
       }
       break;
   }
@@ -625,7 +636,14 @@ void ClusterSimulation::Flush(std::uint32_t ci) {
   Batch batch;
   batch.items = std::move(ch.buffer);
   batch.bytes = ch.buffer_bytes;
-  ch.buffer.clear();
+  // The channel's next buffer is a recycled one (DeliverReady returns
+  // them), so steady-state flushing does not touch the allocator.
+  if (spare_buffers_.empty()) {
+    ch.buffer = {};
+  } else {
+    ch.buffer = std::move(spare_buffers_.back());
+    spare_buffers_.pop_back();
+  }
   ch.buffer_bytes = 0;
   ch.deadline_armed = false;
   ++ch.deadline_generation;
@@ -647,7 +665,7 @@ void ClusterSimulation::Flush(std::uint32_t ci) {
   ++ch.inflight;
   ++tasks_[ch.consumer].inbound_inflight;
   tasks_[ch.producer].deferred_cpu += config_.network.flush_cpu;
-  events_.Schedule(arrival, EventType::kBatchArrival, ci, 0, ch.transit_generation);
+  events_.Schedule(arrival, EventType::kBatchArrival, ci, ch.transit_generation);
 
   if (ch.producer_blocked) {
     ch.producer_blocked = false;
@@ -678,6 +696,8 @@ void ClusterSimulation::DeliverReady(std::uint32_t ci) {
       if (consumer.sampler != nullptr) consumer.sampler->RecordArrival(events_.Now());
     }
     consumer.deferred_cpu += config_.network.receive_batch_cpu;
+    batch.items.clear();
+    spare_buffers_.push_back(std::move(batch.items));
     ch.ready.pop_front();
     --ch.inflight;
     --consumer.inbound_inflight;
@@ -777,7 +797,7 @@ void ClusterSimulation::TryStartNext(std::uint32_t ti) {
   task.current_service_cpu = service;
   task.service_started = events_.Now();
   task.phase = TaskPhase::kServing;
-  events_.Schedule(events_.Now() + FromSeconds(service), EventType::kServiceDone, ti, 0,
+  events_.Schedule(events_.Now() + FromSeconds(service), EventType::kServiceDone, ti,
                    task.generation);
 }
 
@@ -839,7 +859,7 @@ void ClusterSimulation::FinishEmissions(std::uint32_t ti) {
         // semantics).
         task.next_tick = std::max(task.next_tick + FromSeconds(interval),
                                   events_.Now() - config_.source_catchup_window);
-        events_.Schedule(task.next_tick, EventType::kSourceEmit, ti, 0, task.generation);
+        events_.Schedule(task.next_tick, EventType::kSourceEmit, ti, task.generation);
       }
     }
   } else {
@@ -870,7 +890,7 @@ void ClusterSimulation::OnSourceEmit(const Event& e) {
   task.current_service_cpu = service;
   task.service_started = events_.Now();
   task.phase = TaskPhase::kServing;
-  events_.Schedule(events_.Now() + FromSeconds(service), EventType::kServiceDone, e.a, 0,
+  events_.Schedule(events_.Now() + FromSeconds(service), EventType::kServiceDone, e.a,
                    task.generation);
 }
 
@@ -918,10 +938,10 @@ void ClusterSimulation::OnTaskTimer(const Event& e) {
   if (!scratch_requests_.empty()) {
     // Timer emissions bypass the service state machine (they model a
     // separate window-trigger thread); they overfill rather than block.
-    std::vector<ResolvedEmit> emits;
-    ResolveEmissions(e.a, scratch_requests_, nullptr, emits);
-    task.deferred_cpu += config_.network.emit_item_cpu * emits.size();
-    for (ResolvedEmit& re : emits) {
+    scratch_emits_.clear();
+    ResolveEmissions(e.a, scratch_requests_, nullptr, scratch_emits_);
+    task.deferred_cpu += config_.network.emit_item_cpu * scratch_emits_.size();
+    for (const ResolvedEmit& re : scratch_emits_) {
       AppendToChannel(re.channel, re.item, /*allow_overfill=*/true);
     }
     if (task.sampler != nullptr && !task.rw_pending.empty()) {
@@ -934,7 +954,7 @@ void ClusterSimulation::OnTaskTimer(const Event& e) {
 
   if (task.state != TaskState::kStopped) {
     events_.Schedule(events_.Now() + task.logic->TimerPeriod(), EventType::kTaskTimer, e.a,
-                     0, task.generation);
+                     task.generation);
   }
 }
 
@@ -1013,8 +1033,8 @@ void ClusterSimulation::OnAdjustmentTick() {
   }
 
   if (config_.shipping == ShippingStrategy::kAdaptive && !constraints_.empty()) {
-    flush_deadlines_ = ComputeFlushDeadlines(graph_, constraints_, last_summary_,
-                                             flush_deadlines_, config_.batching);
+    SetFlushDeadlines(ComputeFlushDeadlines(graph_, constraints_, last_summary_,
+                                            flush_deadlines_, config_.batching));
   }
 
   if (config_.scaler.enabled && !constraints_.empty()) {
@@ -1122,8 +1142,8 @@ RunResult ClusterSimulation::Run(SimDuration duration) {
   RebuildAllRouting();
 
   if (config_.shipping == ShippingStrategy::kAdaptive && !constraints_.empty()) {
-    flush_deadlines_ = ComputeFlushDeadlines(graph_, constraints_, GlobalSummary{}, {},
-                                             config_.batching);
+    SetFlushDeadlines(
+        ComputeFlushDeadlines(graph_, constraints_, GlobalSummary{}, {}, config_.batching));
   }
 
   // Adjustment ticks trail measurement ticks by 1 ms so a summary built at
@@ -1141,7 +1161,7 @@ RunResult ClusterSimulation::Run(SimDuration duration) {
 
   while (!events_.Empty() && events_.PeekTime() <= duration) {
     const Event e = events_.Pop();
-    switch (e.type) {
+    switch (e.type()) {
       case EventType::kSourceEmit: OnSourceEmit(e); break;
       case EventType::kServiceDone: OnServiceDone(e); break;
       case EventType::kFlushDeadline: OnFlushDeadline(e); break;

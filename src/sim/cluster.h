@@ -15,10 +15,17 @@
 //   * ground-truth latency probes for evaluation, invisible to the engine.
 //
 // Determinism: all randomness flows from SimConfig::seed; equal-time events
-// dispatch in schedule order, so runs are bit-reproducible.
+// dispatch in schedule order, so runs are bit-reproducible.  Performance
+// work on this file must keep them so: the same (time, seq) event order,
+// the same random draws and the same floating-point expressions
+// (DESIGN.md §2; tests/integration_test.cpp GoldenTrajectory.* pins it).
+//
+// The per-item path does not allocate once a run has warmed up: input and
+// batch queues are Rings, flushed batch buffers return to a spare pool when
+// delivered, and each task caches its channel per (output, consumer
+// subtask).
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -35,6 +42,7 @@
 #include "sim/event_queue.h"
 #include "sim/item.h"
 #include "sim/metrics.h"
+#include "sim/ring.h"
 #include "sim/task_logic.h"
 
 namespace esp::sim {
@@ -72,6 +80,7 @@ class ClusterSimulation {
   // ----- internal entities -------------------------------------------------
   enum class TaskState : std::uint8_t { kStarting, kRunning, kDraining, kStopped };
   enum class TaskPhase : std::uint8_t { kIdle, kServing, kEmitting, kBlocked };
+  static constexpr std::uint32_t kNoChannel = ~std::uint32_t{0};
 
   struct ResolvedEmit {
     std::uint32_t channel = 0;  // dense channel index
@@ -87,8 +96,8 @@ class ClusterSimulation {
     bool is_source = false;
     bool source_done = false;
 
-    std::deque<QueuedItem> input;
-    std::deque<std::uint32_t> parked_channels;  // inbound channels with parked batches
+    Ring<QueuedItem> input;
+    Ring<std::uint32_t> parked_channels;  // inbound channels with parked batches
 
     std::unique_ptr<TaskLogic> logic;
     std::unique_ptr<SourceLogic> source;
@@ -116,6 +125,9 @@ class ClusterSimulation {
     std::vector<std::pair<std::int8_t, SimTime>> pending_probes;  // for window emissions
     std::vector<std::uint32_t> in_channels;
     std::vector<std::uint32_t> out_channels;
+    /// [output index][consumer subtask] -> dense channel index, or
+    /// kNoChannel until the first emission on that channel resolves it.
+    std::vector<std::vector<std::uint32_t>> channel_cache;
   };
 
   struct Batch {
@@ -130,8 +142,8 @@ class ClusterSimulation {
     std::vector<SimItem> buffer;
     std::uint32_t buffer_bytes = 0;
     std::uint32_t inflight = 0;  // batches sent, not yet delivered
-    std::deque<Batch> in_transit;
-    std::deque<Batch> ready;  // arrived, waiting for queue space
+    Ring<Batch> in_transit;
+    Ring<Batch> ready;  // arrived, waiting for queue space
     SimTime last_arrival = 0;
     std::uint32_t deadline_generation = 0;
     /// Bumped when a crash clears in_transit, so already-scheduled
@@ -145,7 +157,7 @@ class ClusterSimulation {
   };
 
   struct EdgeRouting {
-    // Dense task indices of live consumers, ordered by subtask.
+    // Subtask indices of the live consumers, ascending.
     std::vector<std::uint32_t> consumers;
     // kPointwise only: consumers assigned to each producer subtask.
     std::vector<std::vector<std::uint32_t>> per_producer;
@@ -194,11 +206,17 @@ class ClusterSimulation {
   void Flush(std::uint32_t ci);
   void DeliverReady(std::uint32_t ci);
   void DrainParked(std::uint32_t ti);
-  SimDuration FlushDeadlineFor(const Channel& ch) const;
+  void SetFlushDeadlines(FlushDeadlines deadlines);
 
   // ----- wiring ------------------------------------------------------------
   std::uint32_t GetOrCreateChannel(JobEdgeId edge, std::uint32_t prod_sub,
                                    std::uint32_t cons_sub);
+  /// Task `ti`'s channel to consumer subtask `cons_sub` on its output
+  /// `output_index` (= `edge`), through the task's channel cache.  A miss
+  /// falls back to GetOrCreateChannel, so channels (and their samplers) are
+  /// still created at their first emission, in the same order.
+  std::uint32_t CachedChannel(std::uint32_t ti, std::uint32_t output_index, JobEdgeId edge,
+                              std::uint32_t cons_sub);
   void RebuildRouting(JobEdgeId edge);
   void RebuildAllRouting();
   std::uint32_t DenseIndex(const TaskId& id) const;
@@ -240,6 +258,7 @@ class ClusterSimulation {
   std::vector<QosManager> managers_;
   ElasticScaler scaler_;
   FlushDeadlines flush_deadlines_;
+  std::vector<SimDuration> flush_deadline_by_edge_;  // dense copy, indexed by edge id
   GlobalSummary last_summary_;
 
   // Evaluation accumulators (current metrics window).
@@ -257,6 +276,8 @@ class ClusterSimulation {
   SimDuration run_duration_ = 0;
   std::vector<std::uint32_t> source_tasks_;
   std::vector<EmitRequest> scratch_requests_;
+  std::vector<ResolvedEmit> scratch_emits_;         // OnTaskTimer's emissions
+  std::vector<std::vector<SimItem>> spare_buffers_;  // recycled batch buffers
 
   RunResult result_;
 };

@@ -1,5 +1,6 @@
 #include "sim/task_logic.h"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace esp::sim {
@@ -7,6 +8,9 @@ namespace esp::sim {
 StatelessLogic::StatelessLogic(Params params) : params_(std::move(params)) {
   if (params_.service_mean < 0) {
     throw std::invalid_argument("StatelessLogic: negative service time");
+  }
+  if (params_.service_mean > 0 && params_.service_cv > 0) {
+    service_ = LogNormalParams::FromMeanCv(params_.service_mean, params_.service_cv);
   }
 }
 
@@ -35,7 +39,7 @@ double StatelessLogic::OnItem(SimTime now, const SimItem& item, Rng& rng,
   }
   if (params_.service_mean <= 0) return 0.0;
   if (params_.service_cv <= 0) return params_.service_mean;
-  return rng.LogNormalMeanCv(params_.service_mean, params_.service_cv);
+  return rng.LogNormal(service_.mu, service_.sigma);
 }
 
 WindowedLogic::WindowedLogic(Params params) : params_(std::move(params)) {
@@ -63,6 +67,10 @@ double WindowedLogic::OnTimer(SimTime, Rng&, std::vector<EmitRequest>& out) {
 
 SourceLogic::SourceLogic(Params params) : params_(std::move(params)) {
   if (!params_.schedule) throw std::invalid_argument("SourceLogic: schedule required");
+  if (params_.interval_cv > 0.0) {
+    interval_sigma2_ = LogNormalParams::Sigma2(params_.interval_cv);
+    interval_sigma_ = std::sqrt(interval_sigma2_);
+  }
 }
 
 double SourceLogic::NextInterval(SimTime now, Rng& rng) const {
@@ -76,7 +84,8 @@ double SourceLogic::NextInterval(SimTime now, Rng& rng) const {
   const double mean = 1.0 / rate;
   if (params_.interval_cv <= 0.0) return mean;
   if (params_.interval_cv == 1.0) return rng.Exponential(rate);
-  return rng.LogNormalMeanCv(mean, params_.interval_cv);
+  // = rng.LogNormalMeanCv(mean, interval_cv) with the cv terms hoisted.
+  return rng.LogNormal(std::log(mean) - 0.5 * interval_sigma2_, interval_sigma_);
 }
 
 void SourceLogic::MakeEmissions(SimTime now, Rng& rng, std::vector<EmitRequest>& out) const {

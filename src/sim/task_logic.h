@@ -94,6 +94,7 @@ class StatelessLogic final : public TaskLogic {
 
  private:
   Params params_;
+  LogNormalParams service_;  ///< derived once from service_mean / service_cv
 };
 
 /// Time-window aggregation UDF: consumes items into per-window state for a
@@ -153,6 +154,8 @@ class SourceLogic {
 
  private:
   Params params_;
+  double interval_sigma2_ = 0.0;  ///< LogNormalParams::Sigma2(interval_cv)
+  double interval_sigma_ = 0.0;   ///< sqrt(interval_sigma2_)
 };
 
 using SourceFactory =

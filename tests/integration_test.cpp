@@ -4,6 +4,9 @@
 // and pin the closed-form step formulas against the paper's published
 // expressions.
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +15,7 @@
 #include "sim/cluster.h"
 #include "sim/rate_schedule.h"
 #include "workloads/prime_tester.h"
+#include "workloads/twitter_job.h"
 
 namespace esp {
 namespace {
@@ -259,6 +263,157 @@ TEST(SimulatorSkew, HotKeyCreatesHotSpotLatency) {
   // The hot spot also throttles throughput via backpressure.
   EXPECT_LT(skewed.windows.back().effective_rate,
             balanced.windows.back().effective_rate);
+}
+
+// ------------------------------------------------------- golden trajectories
+
+// FNV-1a over the raw bits of a RunResult's evaluation output: emitted and
+// delivered counts, losses, every window's latency and rates and every
+// adjustment round's measured and estimated latency and parallelism.  Two
+// runs hash equal only if they are bit-identical in all of these.
+class TrajectoryHash {
+ public:
+  explicit TrajectoryHash(const RunResult& r) {
+    U64(r.total_items_emitted);
+    U64(r.total_items_delivered);
+    U64(r.items_lost);
+    U64(r.task_crashes);
+    U64(r.task_restarts);
+    F64(r.task_hours);
+    F64(r.node_hours);
+    for (const sim::WindowMetrics& w : r.windows) {
+      U64(static_cast<std::uint64_t>(w.end));
+      for (const sim::ConstraintWindowStats& c : w.constraints) {
+        U64(c.samples);
+        F64(c.mean_latency);
+        F64(c.p95_latency);
+      }
+      F64(w.attempted_rate);
+      F64(w.effective_rate);
+      F64(w.delivered_rate);
+      F64(w.cpu_utilization);
+      U64(w.running_tasks);
+    }
+    for (const sim::AdjustmentRecord& a : r.adjustments) {
+      U64(static_cast<std::uint64_t>(a.time));
+      for (double m : a.measured_latency) F64(m);
+      for (double e : a.estimated_latency) F64(e);
+      for (const sim::ParallelismSnapshot& p : a.parallelism) U64(p.parallelism);
+    }
+  }
+
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void U64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xff;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void F64(double d) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    U64(bits);
+  }
+
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+// The simulator's contract (DESIGN.md §2): a performance change to src/sim
+// must keep every run bit-identical -- the same (time, seq) event order and
+// the same random draws.  These constants were recorded before the event
+// loop was optimised; a mismatch means a change altered a trajectory.  The
+// runs go through libm (log, exp, sqrt), whose last bits may differ on
+// other platforms, so the comparison runs on x86-64 glibc only.
+#if defined(__x86_64__) && defined(__GLIBC__)
+constexpr bool kGoldenPlatform = true;
+#else
+constexpr bool kGoldenPlatform = false;
+#endif
+
+std::string Hex(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(GoldenTrajectory, ElasticPrimeTesterWithCrash) {
+  if (!kGoldenPlatform) GTEST_SKIP() << "golden hashes are recorded on x86-64 glibc";
+  workloads::PrimeTesterParams p;
+  p.sources = 8;
+  p.sinks = 8;
+  p.prime_testers = 2;
+  p.pt_min_parallelism = 1;
+  p.pt_max_parallelism = 48;
+  p.elastic = true;
+  p.warmup_rate = 800;
+  p.rate_increment = 1500;
+  p.increments = 2;
+  p.step_duration = FromSeconds(12);  // 6 steps: 72 simulated seconds
+  SimConfig cfg;
+  cfg.workers = 24;
+  cfg.shipping = ShippingStrategy::kAdaptive;
+  cfg.scaler.enabled = true;
+  cfg.probe_sample_probability = 0.2;
+  cfg.faults = {{.vertex = "PrimeTester", .subtask = 0, .at = FromSeconds(31)}};
+  cfg.seed = 2015;
+  auto pt = BuildPrimeTesterSim(p, cfg);
+  const RunResult r = pt.sim->Run(pt.schedule_length);
+  EXPECT_GT(r.items_lost, 0u);
+  EXPECT_EQ(Hex(TrajectoryHash(r).value()), "0x2a48e0b5714f0cb4");
+}
+
+TEST(GoldenTrajectory, ElasticTwitterSentiment) {
+  if (!kGoldenPlatform) GTEST_SKIP() << "golden hashes are recorded on x86-64 glibc";
+  workloads::TwitterParams p;
+  p.tweet_sources = 2;
+  p.base_rate = 150;
+  p.day_amplitude = 400;
+  p.day_length = FromSeconds(60);
+  p.total_duration = FromSeconds(90);
+  p.burst_rate = 200;
+  p.burst_start = FromSeconds(60);
+  p.burst_duration = FromSeconds(15);
+  p.elastic_max = 32;
+  SimConfig cfg;
+  cfg.workers = 24;
+  cfg.shipping = ShippingStrategy::kAdaptive;
+  cfg.scaler.enabled = true;
+  cfg.seed = 2015;
+  auto tw = BuildTwitterSim(p, cfg);
+  const RunResult r = tw.sim->Run(tw.duration);
+  EXPECT_EQ(Hex(TrajectoryHash(r).value()), "0x2cbc9ce8fb11c8df");
+}
+
+TEST(GoldenTrajectory, StaticFixedBufferAndInstantFlush) {
+  if (!kGoldenPlatform) GTEST_SKIP() << "golden hashes are recorded on x86-64 glibc";
+  auto run = [](ShippingStrategy shipping) {
+    workloads::PrimeTesterParams p;
+    p.sources = 4;
+    p.sinks = 4;
+    p.prime_testers = 6;
+    p.pt_min_parallelism = 6;
+    p.pt_max_parallelism = 6;
+    p.warmup_rate = 600;
+    p.rate_increment = 600;
+    p.increments = 2;
+    p.step_duration = FromSeconds(8);
+    SimConfig cfg;
+    cfg.workers = 8;
+    cfg.shipping = shipping;
+    cfg.seed = 2015;
+    auto pt = BuildPrimeTesterSim(p, cfg);
+    return TrajectoryHash(pt.sim->Run(pt.schedule_length)).value();
+  };
+  EXPECT_EQ(Hex(run(ShippingStrategy::kFixedBuffer)), "0xb53582f0bab782e1");
+  EXPECT_EQ(Hex(run(ShippingStrategy::kInstantFlush)), "0x4dd351490075df20");
+}
+
+TEST(GoldenTrajectory, KeyPartitionedHotSpot) {
+  if (!kGoldenPlatform) GTEST_SKIP() << "golden hashes are recorded on x86-64 glibc";
+  EXPECT_EQ(Hex(TrajectoryHash(SkewFixture::Run(/*hot_key_share=*/0.3, 91)).value()),
+            "0x96500b99b4a76575");
 }
 
 }  // namespace

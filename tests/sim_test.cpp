@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "sim/cluster.h"
 #include "sim/event_queue.h"
@@ -38,6 +42,75 @@ TEST(EventQueue, ClockAdvancesMonotonically) {
   // Scheduling in the past clamps to now.
   q.Schedule(FromSeconds(1), EventType::kMetricsTick);
   EXPECT_EQ(q.Pop().time, FromSeconds(5));
+}
+
+// Differential test against a std::priority_queue of (time, seq): random
+// Schedule / Pop / PeekTime mixes covering equal-time ties, times in the
+// past (clamped to now), the simulator's 1-10 s ticks and start-up delays
+// beyond the queue's near window, delays straddling the window's edge, and
+// Schedule at Now() straight after a Pop.
+TEST(EventQueue, MatchesReferenceHeapOnRandomOperations) {
+  using Ref = std::pair<SimTime, std::uint64_t>;  // (time, seq)
+  std::priority_queue<Ref, std::vector<Ref>, std::greater<Ref>> ref;
+  EventQueue q;
+  Rng rng(2015);
+  std::uint64_t seq = 0;
+  auto schedule = [&](SimTime when) {
+    q.Schedule(when, EventType::kServiceDone, static_cast<std::uint32_t>(seq));
+    ref.emplace(std::max(when, q.Now()), seq++);
+  };
+  auto pop = [&] {
+    const Event e = q.Pop();
+    ASSERT_EQ(e.time, ref.top().first);
+    ASSERT_EQ(e.seq(), ref.top().second);
+    ASSERT_EQ(e.a, static_cast<std::uint32_t>(ref.top().second));
+    ASSERT_EQ(e.type(), EventType::kServiceDone);
+    ASSERT_EQ(q.Now(), e.time);
+    ref.pop();
+  };
+
+  constexpr int kOperations = 1'200'000;
+  for (int op = 0; op < kOperations; ++op) {
+    // Phases of 100k operations drift towards a target backlog: nearly
+    // empty (the window drains and Pop jumps to the far heap), a few
+    // hundred pending as in the simulator, or a few thousand.
+    constexpr std::size_t kTargets[] = {300, 8, 3000, 300};
+    const std::size_t target = kTargets[(op / 100'000) % 4];
+    const double schedule_share = ref.size() < target ? 0.6 : 0.35;
+    const double r = rng.NextDouble();
+    if (ref.empty() || r < schedule_share) {
+      const SimTime now = q.Now();
+      const double kind = rng.NextDouble();
+      if (kind < 0.15) {
+        schedule(now + 1000 * rng.UniformInt(0, 3));  // coarse grid: many exact ties
+      } else if (kind < 0.25) {
+        schedule(now - FromMicros(rng.Uniform(0, 5000)));  // in the past
+      } else if (kind < 0.80) {
+        schedule(now + FromMicros(rng.Uniform(0, 10'000)));
+      } else if (kind < 0.93) {
+        schedule(now + FromMillis(rng.Uniform(20, 200)));  // around the window's edge
+      } else {
+        // Ticks and start-ups, some on whole seconds so they tie.
+        schedule(rng.Bernoulli(0.5) ? FromSeconds(static_cast<double>(rng.UniformInt(1, 10))) +
+                                          now / 1'000'000'000 * 1'000'000'000
+                                    : now + FromSeconds(rng.Uniform(1, 10)));
+      }
+    } else if (r < 0.95) {
+      pop();
+      if (::testing::Test::HasFatalFailure()) return;
+      if (rng.Bernoulli(0.2)) schedule(q.Now());
+    } else {
+      ASSERT_EQ(q.PeekTime(), ref.top().first);
+    }
+    ASSERT_EQ(q.Size(), ref.size());
+  }
+  while (!ref.empty()) {
+    ASSERT_FALSE(q.Empty());
+    ASSERT_EQ(q.PeekTime(), ref.top().first);
+    pop();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_TRUE(q.Empty());
 }
 
 // ------------------------------------------------------------ rate schedule
@@ -93,6 +166,28 @@ TEST(DiurnalRate, BurstAddsRateDuringWindow) {
 }
 
 // ---------------------------------------------------------------- UDF logic
+
+// Both logics derive their log-normal parameters once, at construction;
+// their draws must stay the ones Rng::LogNormalMeanCv makes, bit for bit.
+TEST(StatelessLogic, LogNormalDrawsMatchLogNormalMeanCvBitForBit) {
+  StatelessLogic::Params sp;
+  sp.service_mean = 0.003;
+  sp.service_cv = 0.3;
+  StatelessLogic logic(sp);
+  SourceLogic::Params src;
+  src.schedule = std::make_shared<PiecewiseRate>(PiecewiseRate({{FromSeconds(10), 250.0}}));
+  src.interval_cv = 0.5;
+  const SourceLogic source(src);
+  Rng a(7);
+  Rng b(7);
+  const SimItem item;
+  std::vector<EmitRequest> out;
+  for (int i = 0; i < 10'000; ++i) {
+    ASSERT_EQ(logic.OnItem(0, item, a, out), b.LogNormalMeanCv(0.003, 0.3));
+    ASSERT_EQ(source.NextInterval(FromSeconds(1), a), b.LogNormalMeanCv(1.0 / 250.0, 0.5));
+  }
+  EXPECT_TRUE(out.empty());
+}
 
 TEST(StatelessLogic, SelectivityControlsExpectedEmissions) {
   StatelessLogic::Params p;

@@ -40,6 +40,13 @@
 // admission).  The guard-on row is "exact" when the shed accounting closes:
 // emitted == delivered + shed with zero redelivery.
 //
+// Repetitions: every run starts with a discarded warm-up pass of all rows
+// at a tenth of the records (thread start-up, page faults, allocator and
+// histogram tables warmed), then runs `--reps N` measured passes (default
+// 3) and reports, per row, the pass with the median records/s; the JSON
+// also lists every pass's records/s.  Exactness is required of every
+// measured pass.
+//
 // Usage: see kUsage below.  Unknown flags are rejected (exit 2), so a
 // mistyped or retired flag cannot silently measure the defaults.
 #include <algorithm>
@@ -75,7 +82,7 @@ using runtime::SourceFunction;
 using runtime::Udf;
 
 constexpr const char* kUsage =
-    "usage: micro_engine [--records N] [--queue N] [--batch N] [--seed S]\n"
+    "usage: micro_engine [--records N] [--reps N] [--queue N] [--batch N] [--seed S]\n"
     "                    [--payload-size 8|24|64] [--chaining on|off] [--fanin N]\n"
     "                    [--fail-at N] [--policy P]\n"
     "                    [--overload-burst] [--tsv] [--json]\n";
@@ -84,8 +91,8 @@ constexpr const char* kUsage =
 // value); otherwise prints the offending argument and the usage.
 bool ArgsValid(int argc, char** argv) {
   static constexpr const char* kValueFlags[] = {
-      "--records", "--queue",  "--batch",   "--seed",  "--payload-size",
-      "--chaining", "--fanin", "--fail-at", "--policy"};
+      "--records", "--reps",   "--queue",   "--batch",  "--seed",
+      "--payload-size", "--chaining", "--fanin", "--fail-at", "--policy"};
   static constexpr const char* kSwitches[] = {"--overload-burst", "--tsv", "--json"};
   const auto in = [](const auto& flags, const char* arg) {
     return std::any_of(std::begin(flags), std::end(flags),
@@ -237,7 +244,27 @@ struct Row {
   double allocs_per_record = -1;  // < 0: counting allocator not built in
   std::uint64_t shed = 0;         // --overload-burst rows only
   std::uint32_t shed_windows = 0;
+  std::vector<double> rep_rates;  // records/s of every measured pass
 };
+
+// Per config, the pass with the median records/s (the lower middle one for
+// an even count), carrying every pass's rate; exact only if every pass was.
+std::vector<Row> MedianRows(const std::vector<std::vector<Row>>& passes) {
+  std::vector<Row> out;
+  for (std::size_t r = 0; r < passes.front().size(); ++r) {
+    std::vector<const Row*> reps;
+    for (const auto& pass : passes) reps.push_back(&pass[r]);
+    std::sort(reps.begin(), reps.end(),
+              [](const Row* a, const Row* b) { return a->rate < b->rate; });
+    Row median = *reps[(reps.size() - 1) / 2];
+    for (const auto& pass : passes) {
+      median.rep_rates.push_back(pass[r].rate);
+      median.exact = median.exact && pass[r].exact;
+    }
+    out.push_back(std::move(median));
+  }
+  return out;
+}
 
 struct FaultConfig {
   std::uint64_t seed = 1;
@@ -467,6 +494,11 @@ static int Run(int argc, char** argv) {
   // record count is sized to keep the guard-off baseline around 4 s.
   const bool overload_burst = HasFlag(argc, argv, "--overload-burst");
   const int records = ArgInt(argc, argv, "--records", overload_burst ? 20'000 : 300'000);
+  const int reps = ArgInt(argc, argv, "--reps", 3);
+  if (reps < 1) {
+    std::fprintf(stderr, "--reps must be >= 1 (got %d)\n", reps);
+    return 2;
+  }
   const int queue = ArgInt(argc, argv, "--queue", 1024);
   const int batch = ArgInt(argc, argv, "--batch", 64);
   const int payload_size = ArgInt(argc, argv, "--payload-size", 8);
@@ -486,9 +518,9 @@ static int Run(int argc, char** argv) {
   }
 
   Section("micro_engine: 1-source/1-map/1-sink, trivial UDFs, full blast");
-  std::printf("records=%d queue_capacity=%d batch_capacity=%d payload_size=%d (%s) "
-              "seed=%llu base_chaining=%s fanin=%d\n",
-              records, queue, batch, payload_size,
+  std::printf("records=%d reps=%d (+1 warm-up) queue_capacity=%d batch_capacity=%d "
+              "payload_size=%d (%s) seed=%llu base_chaining=%s fanin=%d\n",
+              records, reps, queue, batch, payload_size,
               payload_size <= 24 ? "inline" : "boxed",
               static_cast<unsigned long long>(fc.seed), chaining ? "on" : "off", fanin);
   if (fc.fail_at > 0) {
@@ -496,32 +528,28 @@ static int Run(int argc, char** argv) {
                 ArgStr(argc, argv, "--policy", "restart-task"));
   }
 
-  std::vector<Row> rows;
-  const auto run_rows = [&](auto tag) {
+  if (payload_size != 8 && payload_size != 24 && payload_size != 64) {
+    std::fprintf(stderr, "unknown --payload-size %d (want 8, 24 or 64)\n", payload_size);
+    return 2;
+  }
+  const auto run_pass = [&](auto tag, int n) {
     using P = decltype(tag);
     if (overload_burst) {
       const auto b = static_cast<std::uint32_t>(batch);
-      rows.push_back(RunOverloadBurst<P>("burst/guard-off", records, b, false));
-      rows.push_back(RunOverloadBurst<P>("burst/guard-on", records, b, true));
-    } else {
-      rows = RunAll<P>(records, queue, batch, fc, chaining, fanin);
+      return std::vector<Row>{RunOverloadBurst<P>("burst/guard-off", n, b, false),
+                              RunOverloadBurst<P>("burst/guard-on", n, b, true)};
     }
+    return RunAll<P>(n, queue, batch, fc, chaining, fanin);
   };
-  switch (payload_size) {
-    case 8:
-      run_rows(int{});
-      break;
-    case 24:
-      run_rows(Payload24{});
-      break;
-    case 64:
-      run_rows(Payload64{});
-      break;
-    default:
-      std::fprintf(stderr, "unknown --payload-size %d (want 8, 24 or 64)\n",
-                   payload_size);
-      return 2;
-  }
+  const auto pass = [&](int n) {
+    return payload_size == 8    ? run_pass(int{}, n)
+           : payload_size == 24 ? run_pass(Payload24{}, n)
+                                : run_pass(Payload64{}, n);
+  };
+  (void)pass(std::max(records / 10, 1));  // warm-up, discarded
+  std::vector<std::vector<Row>> passes;
+  for (int rep = 0; rep < reps; ++rep) passes.push_back(pass(records));
+  const std::vector<Row> rows = MedianRows(passes);
 
   std::printf("#%15s %10s %10s %12s %12s %12s %6s %8s %8s %10s %6s %10s\n",
               "config", "records", "time[s]", "records/s", "p50[ms]", "p99[ms]",
@@ -557,7 +585,7 @@ static int Run(int argc, char** argv) {
     // Machine-readable result for the CI perf-smoke job.
     std::ofstream out("BENCH_micro_engine.json");
     out << "{\n  \"bench\": \"micro_engine\",\n  \"records\": " << records
-        << ",\n  \"payload_size\": " << payload_size
+        << ",\n  \"reps\": " << reps << ",\n  \"payload_size\": " << payload_size
         << ",\n  \"alloc_counting\": " << (esp::AllocCountingEnabled() ? "true" : "false")
         << ",\n  \"rows\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -566,7 +594,12 @@ static int Run(int argc, char** argv) {
           << ", \"p50_ms\": " << r.p50_ms << ", \"p99_ms\": " << r.p99_ms
           << ", \"exact\": " << (r.exact ? "true" : "false")
           << ", \"shed\": " << r.shed << ", \"shed_windows\": " << r.shed_windows
-          << ", \"allocs_per_record\": " << r.allocs_per_record << "}"
+          << ", \"allocs_per_record\": " << r.allocs_per_record
+          << ", \"records_per_s_reps\": [";
+      for (std::size_t k = 0; k < r.rep_rates.size(); ++k) {
+        out << (k ? ", " : "") << r.rep_rates[k];
+      }
+      out << "]}"
           << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";

@@ -1,54 +1,95 @@
 #include "common/histogram.h"
 
 #include "common/function_effects.h"
+#include "common/thread_annotations.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <deque>
+#include <numbers>
 #include <sstream>
 #include <stdexcept>
 
 namespace esp {
+namespace {
+
+struct EdgeTable {
+  double min_value;
+  double log_base;
+  std::size_t max_buckets;
+  std::vector<double> edges;
+};
+
+// The bucket edges for one (min_value, log_base, max_buckets): computed
+// once per distinct parameter set in the process and shared, so building a
+// histogram costs a short lookup rather than max_buckets std::exp calls.
+// Tables are immutable once built and live as long as the process.
+const std::vector<double>* SharedEdges(double min_value, double log_base,
+                                       std::size_t max_buckets) {
+  static Mutex mutex;
+  static std::deque<EdgeTable> tables ESP_GUARDED_BY(mutex);  // a deque keeps addresses stable
+  MutexLock lock(mutex);
+  for (const EdgeTable& t : tables) {
+    if (t.min_value == min_value && t.log_base == log_base && t.max_buckets == max_buckets) {
+      return &t.edges;
+    }
+  }
+  EdgeTable& t = tables.emplace_back(EdgeTable{min_value, log_base, max_buckets, {}});
+  t.edges.resize(max_buckets - 1);
+  // BucketLowerEdge reads this table too, so quantile interpolation and
+  // classification share every edge.
+  for (std::size_t j = 0; j < t.edges.size(); ++j) {
+    t.edges[j] = min_value * std::exp(log_base * static_cast<double>(j));
+  }
+  return &t.edges;
+}
+
+}  // namespace
 
 LogHistogram::LogHistogram(double min_value, double base, std::size_t max_buckets)
-    : min_value_(min_value),
-      log_base_(std::log(base)),
-      inv_log_base_(1.0 / std::log(base)),
-      max_buckets_(max_buckets) {
+    : min_value_(min_value), max_buckets_(max_buckets) {
   if (min_value <= 0) throw std::invalid_argument("LogHistogram: min_value must be > 0");
   if (base <= 1.0) throw std::invalid_argument("LogHistogram: base must be > 1");
   if (max_buckets < 2) throw std::invalid_argument("LogHistogram: need >= 2 buckets");
+  log_base_ = std::log(base);
+  log2_min_ = std::log2(min_value);
+  buckets_per_octave_ = std::numbers::ln2 / log_base_;
+  edges_ = SharedEdges(min_value, log_base_, max_buckets);
   buckets_.resize(2, 0);
 }
 
-std::size_t LogHistogram::BucketFor(double x) const {
-  if (x <= min_value_) return 0;
-  const double idx = std::log(x / min_value_) * inv_log_base_;
-  const std::size_t i = static_cast<std::size_t>(idx) + 1;
-  return std::min(i, max_buckets_ - 1);
+std::size_t LogHistogram::BucketFor(double x) const noexcept ESP_NONBLOCKING {
+  if (!(x > min_value_)) return 0;
+  // Estimate log2(x): the unbiased exponent plus log2 of the mantissa
+  // 1 + f, approximated by f + c f (1 - f) (absolute error < 0.008).
+  constexpr std::uint64_t kMantissa = (std::uint64_t{1} << 52) - 1;
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
+  const double exponent = static_cast<double>(static_cast<int>(bits >> 52) - 1023);
+  const double f = std::bit_cast<double>((bits & kMantissa) | std::bit_cast<std::uint64_t>(1.0)) - 1.0;
+  const double est = (exponent + f + 0.3466 * f * (1.0 - f) - log2_min_) * buckets_per_octave_;
+  const std::size_t last = max_buckets_ - 1;
+  std::size_t i = est <= 0.0                                ? 1
+                  : est >= static_cast<double>(last - 1) ? last
+                                                          : static_cast<std::size_t>(est) + 1;
+  // Exact answer by comparison: bucket i holds [edges[i-1], edges[i]).  For
+  // bases above ~1.0054 the estimate is within one bucket, which the two
+  // branch-free steps settle; the loops only run for finer bases.
+  const double* edges = edges_->data();
+  i -= static_cast<std::size_t>(i > 1 && x < edges[i - 1]);
+  i += static_cast<std::size_t>(i < last && x >= edges[i]);
+  while (i > 1 && x < edges[i - 1]) --i;
+  while (i < last && x >= edges[i]) ++i;
+  return i;
 }
 
 double LogHistogram::BucketLowerEdge(std::size_t i) const {
-  if (i == 0) return 0.0;
-  return min_value_ * std::exp(log_base_ * static_cast<double>(i - 1));
+  return i == 0 ? 0.0 : (*edges_)[std::min(i, max_buckets_ - 1) - 1];
 }
 
 void LogHistogram::Add(double x) ESP_NONALLOCATING {
   if (x < 0 || !std::isfinite(x)) return;  // ignore invalid observations
-  std::size_t i;
-  if (x >= memo_min_ && x <= memo_max_) {
-    // Memo hit: x lies between two values already classified into
-    // memo_bucket_, and BucketFor is monotone, so the answer is exact.
-    i = memo_bucket_;
-  } else {
-    i = BucketFor(x);
-    if (i == memo_bucket_ && memo_min_ <= memo_max_) {
-      memo_min_ = std::min(memo_min_, x);
-      memo_max_ = std::max(memo_max_, x);
-    } else {
-      memo_bucket_ = i;
-      memo_min_ = memo_max_ = x;
-    }
-  }
+  const std::size_t i = BucketFor(x);
   if (i >= buckets_.size()) {
     ESP_EFFECTS_ESCAPE_BEGIN  // on-demand bucket growth: happens O(log range) times per histogram lifetime, never in steady state
     buckets_.resize(i + 1, 0);

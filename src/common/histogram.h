@@ -2,7 +2,9 @@
 //
 // Used by benches and the runtime to report latency distributions without
 // storing raw samples.  Buckets grow geometrically, giving ~5 % relative
-// resolution across nine decades (1 ns .. ~1000 s).
+// resolution across nine decades (1 ns .. ~1000 s).  Classifying a value
+// takes no std::log: an estimate from the double's exponent bits is
+// corrected by comparing against a precomputed table of bucket edges.
 #pragma once
 
 #include <cstddef>
@@ -25,12 +27,19 @@ class LogHistogram {
                         std::size_t max_buckets = 4096);
 
   /// Records one observation.  ESP_NONALLOCATING: the steady state hits
-  /// existing buckets (plus the last-bucket memo); the on-demand bucket
-  /// growth is a cold escape.
+  /// existing buckets; the on-demand bucket growth is a cold escape.
   void Add(double x) ESP_NONALLOCATING;
 
   /// Merges another histogram with identical parameters.
   void Merge(const LogHistogram& other);
+
+  /// Bucket of `x`: 0 for x <= min_value, else the i >= 1 with
+  /// BucketLowerEdge(i) <= x < BucketLowerEdge(i + 1) (the last bucket is
+  /// open-ended).  Monotone in x.
+  std::size_t BucketFor(double x) const noexcept ESP_NONBLOCKING;
+
+  /// Lower edge of bucket i: 0 for bucket 0, min_value * base^(i-1) above.
+  double BucketLowerEdge(std::size_t i) const;
 
   std::uint64_t count() const { return count_; }
 
@@ -46,26 +55,19 @@ class LogHistogram {
   std::string Summary() const;
 
  private:
-  std::size_t BucketFor(double x) const;
-  double BucketLowerEdge(std::size_t i) const;
-
   double min_value_;
   double log_base_;
-  double inv_log_base_;
   std::size_t max_buckets_;
+  // BucketFor's estimate: log2(min_value) and buckets per factor of 2.
+  double log2_min_;
+  double buckets_per_octave_;
+  // edges_[j] = BucketLowerEdge(j + 1), j < max_buckets - 1: shared by
+  // every histogram with these parameters, immutable, never freed.
+  const std::vector<double>* edges_;
   std::vector<std::uint64_t> buckets_;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   double max_seen_ = 0.0;
-
-  // Last-bucket memo: the range of values OBSERVED to map to memo_bucket_.
-  // BucketFor is monotone in x, so any x inside [memo_min_, memo_max_] is
-  // guaranteed to land in the same bucket -- Add skips the std::log for the
-  // common case of successive near-identical observations (e.g. steady-state
-  // latencies).  Exactness does not depend on recomputing bucket edges.
-  std::size_t memo_bucket_ = 0;
-  double memo_min_ = 1.0;
-  double memo_max_ = -1.0;  // empty range until the first Add
 };
 
 }  // namespace esp

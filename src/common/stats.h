@@ -31,6 +31,27 @@ class RunningStats {
     m2_ += delta * (x - mean_);
   }
 
+  /// Adds `k` observations of the same value `x` in O(1): a one-step
+  /// parallel-Welford merge (see Merge) of a k-point batch with mean `x`
+  /// and zero spread.  Equal to k calls of Add(x) up to rounding; k = 0 is
+  /// a no-op.
+  void AddRepeated(double x, std::size_t k) noexcept ESP_NONBLOCKING {
+    if (k == 0) return;
+    if (count_ == 0) {
+      min_ = max_ = x;
+    } else {
+      min_ = x < min_ ? x : min_;
+      max_ = x > max_ ? x : max_;
+    }
+    const double na = static_cast<double>(count_);
+    const double nb = static_cast<double>(k);
+    const double n = na + nb;
+    const double delta = x - mean_;
+    mean_ += delta * nb / n;
+    m2_ += delta * delta * na * nb / n;
+    count_ += k;
+  }
+
   /// Merges another accumulator into this one (parallel Welford), used when
   /// QoS managers fold task-level stats into partial summaries.
   void Merge(const RunningStats& other);

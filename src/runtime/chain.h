@@ -5,10 +5,10 @@
 // endpoints run at equal parallelism, the k-th downstream subtask only ever
 // receives from the k-th upstream subtask, so LocalEngine fuses the two
 // UDFs into ONE task thread that invokes the downstream UDF synchronously
-// per emitted record -- no queue hop, no batch envelope, no extra clock
-// reads.  The companion Nephele Streaming work measures this as the
-// dominant latency win for co-located tasks; Röger & Mayer survey it as the
-// canonical fusion/parallelism trade.
+// per emitted record -- no queue hop and no batch envelope.  The companion
+// Nephele Streaming work measures this as the dominant latency win for
+// co-located tasks; Röger & Mayer survey it as the canonical
+// fusion/parallelism trade.
 //
 // Chains are DYNAMIC: they dissolve at every stop-the-world rebuild
 // (rescale, kRestartEpoch) and re-form from the chainability analysis of
@@ -24,16 +24,9 @@
 #include <vector>
 
 #include "common/function_effects.h"
+#include "runtime/timing_cadence.h"
 
 namespace esp::runtime {
-
-/// Sampled timing cadence for fused members.  A chained member charges its
-/// TaskSampler a measured service time / task latency on every
-/// kChainTimingInterval-th record and accounts the remaining records
-/// arithmetically, so fusion adds no steady-state clock reads while the
-/// latency model still sees per-vertex service times.  Matches the pop
-/// batch size, so a member samples about once per head batch under load.
-inline constexpr std::uint64_t kChainTimingInterval = 64;
 
 /// Head-thread-local metric staging for one fused member.
 ///
@@ -45,22 +38,29 @@ inline constexpr std::uint64_t kChainTimingInterval = 64;
 /// (LocalEngine::FlushChainMetrics).  The vectors reach a steady capacity
 /// after warm-up, so the per-record path stays allocation-free.
 struct ChainMetricStaging {
+  /// A fused sink's delivery: its lineage stamp and its end (0 = untimed:
+  /// it ends at the head batch's closing read).
+  struct SinkStamp {
+    std::int64_t source_emit_ns;
+    std::int64_t end_ns;
+  };
+
   std::uint64_t arrivals = 0;   ///< records handed to the member this batch
   std::uint64_t delivered = 0;  ///< sink members: records consumed this batch
-  /// Lifetime record count; drives the kChainTimingInterval cadence.
-  std::uint64_t count = 0;
-  std::vector<double> service;       ///< sampled segment service times (s)
-  std::vector<double> sink_latency;  ///< sink members: end-to-end latencies (s)
+  /// The member's timing cadence (timing_cadence.h) across the head batch.
+  TimingCadence cadence;
+  std::vector<double> service;  ///< timed records' service times (s)
+  std::vector<SinkStamp> sink;  ///< sink members: one per delivery
 
   bool empty() const noexcept ESP_NONBLOCKING { return arrivals == 0; }
 
-  /// Clears one batch's staging; `count` survives (it paces the sampling
-  /// cadence across batches, not within one).
+  /// Clears one batch's staging and opens the next head batch's cadence.
   void Flush() noexcept ESP_NONBLOCKING {
     arrivals = 0;
     delivered = 0;
+    cadence.BeginBatch(0);
     service.clear();
-    sink_latency.clear();
+    sink.clear();
   }
 };
 

@@ -13,6 +13,7 @@
 #include "runtime/chain.h"
 #include "runtime/claim.h"
 #include "runtime/fanin_lanes.h"
+#include "runtime/timing_cadence.h"
 
 namespace esp::runtime {
 
@@ -202,10 +203,11 @@ class LocalEngine::RoutingCollector final : public Collector {
  public:
   RoutingCollector(LocalEngine* engine, LocalTask* task) : engine_(engine), task_(task) {}
 
-  /// TaskLoopBody lends Emit the timestamp it already read for the current
+  /// TaskLoopBody lends Emit the start its TimingCadence gave the current
   /// record (0 = none); the emission path then skips its own clock read.
-  /// The hint is at most one UDF invocation old, far below the microsecond+
-  /// granularity of the batching deadlines and latency metrics it feeds.
+  /// The hint is never later than the truth and lags it by at most the
+  /// cadence's staleness bound (timing_cadence.h), so a record stamped from
+  /// it only looks older: a deadline flush can come early, never late.
   void SetNowHint(std::int64_t now_ns) { now_hint_ns_ = now_ns; }
 
   // ESP_NONALLOCATING, not nonblocking: routing legitimately takes the
@@ -220,7 +222,11 @@ class LocalEngine::RoutingCollector final : public Collector {
     }
     const std::int64_t now = now_hint_ns_ != 0 ? now_hint_ns_ : engine_->NowNs();
     last_now_ns_ = now;  // lent to FlushExpired's not-due precheck
-    if (record.source_emit_ns == 0) record.source_emit_ns = now;
+    // A lineage starting here is stamped from a fresh read: the hint's lag
+    // would count against the record's end-to-end latency.
+    if (record.source_emit_ns == 0) {
+      record.source_emit_ns = now_hint_ns_ != 0 ? engine_->NowNs() : now;
+    }
     ++emitted_;
 
     // Admission shedding (sources only): the overload guard's shed ratio is
@@ -697,50 +703,51 @@ void LocalEngine::TaskLoopBody(LocalTask* task, RoutingCollector& collector) {
     }
   }
 
-  // Reused across iterations: the dequeued batch plus per-record start/end
-  // timestamps and emit flags for the post-batch metric pass.
+  // Reused across iterations: the dequeued batch plus its per-record
+  // metering for the post-batch metric pass.
   std::vector<Envelope> batch;
   batch.reserve(kPopBatch);
-  std::vector<std::int64_t> start_ns(kPopBatch);
-  std::vector<std::int64_t> end_ns(kPopBatch);
-  std::vector<bool> emitted_any(kPopBatch);
+  std::vector<RecordMeter> meter(kPopBatch);
 
   // Post-batch metric pass under a single sampler lock: service times, task
   // latencies, and the sink's latency shard + delivered counter.  Shared by
   // the happy path (count == n) and the mid-batch-failure path, where it
   // covers exactly the completed prefix so redelivery cannot double-count.
-  const auto post_batch_metrics = [&](std::size_t count) {
+  // Untimed records end at `closing_ns`, the batch's closing read.
+  const auto post_batch_metrics = [&](std::size_t count, std::int64_t closing_ns) {
     std::uint64_t delivered = 0;
-    // Degraded-rung metric thinning: only every stride-th record feeds the
-    // service-time/latency samplers.  The delivered counter and the sink
-    // latency shard stay exact -- thinning trades model fidelity for
-    // throughput, never accounting accuracy.
+    // Degraded-rung metric thinning: only every stride-th timed record
+    // feeds the service-time/latency samplers.  The delivered counter and
+    // the sink latency shard stay exact -- thinning trades model fidelity
+    // for throughput, never accounting accuracy.
     const std::uint32_t stride = metric_stride_.load(std::memory_order_relaxed);
     {
       MutexLock lock(task->sampler_mutex);
       for (std::size_t i = 0; i < count; ++i) {
-        if (stride <= 1 || ++task->metric_seq % stride == 0) {
-          const double service = static_cast<double>(end_ns[i] - start_ns[i]) * 1e-9;
+        const RecordMeter& m = meter[i];
+        const bool timed = m.service_ns >= 0;
+        const std::int64_t end = timed ? m.start_ns + m.service_ns : closing_ns;
+        if (timed && (stride <= 1 || ++task->metric_seq % stride == 0)) {
+          const double service = static_cast<double>(m.service_ns) * 1e-9;
           task->sampler.RecordServiceTime(service);
           if (task->latency_mode == LatencyMode::kReadReady) {
             task->sampler.OfferTaskLatency(service);
-          } else {
-            if (task->rw_pending.size() < 256 &&
-                task->rng.Bernoulli(options_.latency_sample_probability)) {
-              task->rw_pending.push_back(start_ns[i]);
-            }
-            if (emitted_any[i]) {
-              for (std::int64_t t : task->rw_pending) {
-                task->sampler.OfferTaskLatency(static_cast<double>(end_ns[i] - t) * 1e-9);
-              }
-              task->rw_pending.clear();
-            }
+          } else if (task->rw_pending.size() < 256 &&
+                     task->rng.Bernoulli(options_.latency_sample_probability)) {
+            task->rw_pending.push_back(m.start_ns);
           }
+        }
+        // Only read-write tasks ever hold pending starts.
+        if (m.emitted && !task->rw_pending.empty()) {
+          for (std::int64_t t : task->rw_pending) {
+            task->sampler.OfferTaskLatency(static_cast<double>(end - t) * 1e-9);
+          }
+          task->rw_pending.clear();
         }
         if (task->is_sink && batch[i].record.source_emit_ns != 0) {
           ++delivered;
           task->latency_shard.Add(
-              static_cast<double>(end_ns[i] - batch[i].record.source_emit_ns) * 1e-9);
+              static_cast<double>(end - batch[i].record.source_emit_ns) * 1e-9);
         }
       }
     }
@@ -841,7 +848,7 @@ void LocalEngine::TaskLoopBody(LocalTask* task, RoutingCollector& collector) {
     // lock, one channel lock per same-channel run of envelopes.
     {
       MutexLock lock(task->sampler_mutex);
-      for (std::size_t i = 0; i < n; ++i) task->sampler.RecordArrival(now);
+      task->sampler.RecordArrivals(now, n);
     }
     for (std::size_t i = 0; i < n;) {
       const std::uint32_t ch = batch[i].channel;
@@ -859,26 +866,27 @@ void LocalEngine::TaskLoopBody(LocalTask* task, RoutingCollector& collector) {
     // that failed -- in task->salvage for the supervisor to redeliver
     // (at-least-once).
     std::size_t processed = 0;
+    std::int64_t closing = 0;
     try {
-      RunUdfBatch(task, collector, batch, n, start_ns, end_ns, emitted_any,
-                  processed);
+      closing = RunUdfBatch(task, collector, batch, n, meter, processed);
       collector.SetNowHint(0);  // timer/close emissions read a fresh clock
     } catch (...) {
       collector.SetNowHint(0);
-      post_batch_metrics(processed);
+      const std::int64_t failed_at = NowNs();
+      post_batch_metrics(processed, failed_at);
       // Bank the fused members' staged attribution for the completed prefix
       // too -- the unflushed remainder dies with the restart otherwise.
-      if (!task->chain_members.empty()) FlushChainMetrics(task, now);
+      if (!task->chain_members.empty()) FlushChainMetrics(task, failed_at);
       task->salvage.assign(std::make_move_iterator(batch.begin() +
                                                    static_cast<std::ptrdiff_t>(processed)),
                            std::make_move_iterator(batch.end()));
       throw;
     }
 
-    post_batch_metrics(n);
+    post_batch_metrics(n, closing);
     // One staged flush per head batch: every fused member's per-record
     // attribution lands under a single sampler-lock acquisition.
-    if (!task->chain_members.empty()) FlushChainMetrics(task, now);
+    if (!task->chain_members.empty()) FlushChainMetrics(task, closing);
     task->busy.store(false);
   }
 
@@ -896,67 +904,56 @@ void LocalEngine::TaskLoopBody(LocalTask* task, RoutingCollector& collector) {
   if (!task->chain_members.empty()) FlushChainMetrics(task, NowNs());
 }
 
-void LocalEngine::RunUdfBatch(LocalTask* task, RoutingCollector& collector,
-                              std::vector<Envelope>& batch, std::size_t n,
-                              std::vector<std::int64_t>& start_ns,
-                              std::vector<std::int64_t>& end_ns,
-                              std::vector<bool>& emitted_any,
-                              std::size_t& processed) ESP_NONALLOCATING {
-  // Consecutive records share a timestamp boundary (record i's end is record
-  // i+1's start), halving clock reads.
-  std::int64_t t_prev = NowNs();
+std::int64_t LocalEngine::RunUdfBatch(LocalTask* task, RoutingCollector& collector,
+                                      std::vector<Envelope>& batch, std::size_t n,
+                                      std::vector<RecordMeter>& meter,
+                                      std::size_t& processed) ESP_NONALLOCATING {
+  const auto clock = [this]() noexcept ESP_NONBLOCKING { return NowNs(); };
+  TimingCadence cadence;
+  cadence.BeginBatch(NowNs());
   for (std::size_t i = 0; i < n; ++i) {
-    start_ns[i] = t_prev;
     if (task->fault.has_record_faults()) {
       ESP_EFFECTS_ESCAPE_BEGIN  // fault injection: test-only path, off by a null check in production
       task->fault.TickRecord(task->vertex_name, task->id.subtask);
       ESP_EFFECTS_ESCAPE_END
     }
-    collector.SetNowHint(t_prev);  // Emit reuses this read, skips its own
+    RecordMeter& m = meter[i];
+    m.start_ns = cadence.Start(clock);
+    collector.SetNowHint(m.start_ns);  // Emit reuses this read, skips its own
     ESP_EFFECTS_ESCAPE_BEGIN  // the UDF body's effects are the UDF author's contract, not the engine's
     task->udf->OnRecord(batch[i].record, collector);
     ESP_EFFECTS_ESCAPE_END
-    t_prev = NowNs();
-    end_ns[i] = t_prev;
-    emitted_any[i] = collector.TakeEmitted() > 0;
+    m.service_ns = cadence.Finish(clock);
+    m.emitted = collector.TakeEmitted() > 0;
     processed = i + 1;
   }
+  return cadence.Close(clock);
 }
 
 // Runs one record through a fused member's UDF on the chain head's thread.
-// The steady-state path adds ZERO clock reads: the head's now-hint is reused
-// for batching deadlines and sink latency, and service time is only measured
-// on every kChainTimingInterval-th record (chain.h).  Metric attribution is
-// staged lock-free in the member's ChainMetricStaging; FlushChainMetrics
-// publishes it once per head batch.
+// The member keeps its own TimingCadence across the head batch: an untimed
+// record reads no clock (the head's now-hint serves its Emit), a timed one
+// reads two.  Metric attribution is staged lock-free in the member's
+// ChainMetricStaging; FlushChainMetrics publishes it once per head batch.
 void LocalEngine::ChainInvoke(LocalTask* member, Record record,
                               std::int64_t now_hint_ns) ESP_NONALLOCATING {
   ChainMetricStaging& stage = member->chain_stage;
-  ++stage.count;
   ++stage.arrivals;
   RoutingCollector& out = *member->chain_collector;
+  const auto clock = [this]() noexcept ESP_NONBLOCKING { return NowNs(); };
+  stage.cadence.Lend(now_hint_ns);
+  std::int64_t service_ns = -1;
   try {
     if (member->fault.has_record_faults()) {
       ESP_EFFECTS_ESCAPE_BEGIN  // fault injection: test-only path, off by a null check in production
       member->fault.TickRecord(member->vertex_name, member->id.subtask);
       ESP_EFFECTS_ESCAPE_END
     }
-    if (stage.count % kChainTimingInterval == 0) {
-      // Sampled segment timing: two clock reads amortized over the interval.
-      const std::int64_t t0 = NowNs();
-      out.SetNowHint(t0);
-      ESP_EFFECTS_ESCAPE_BEGIN  // the fused UDF body's effects are the UDF author's contract, not the engine's
-      member->udf->OnRecord(record, out);
-      ESP_EFFECTS_ESCAPE_END
-      ESP_EFFECTS_ESCAPE_BEGIN  // staging vectors reach steady capacity after warm-up; growth is a cold edge
-      stage.service.push_back(static_cast<double>(NowNs() - t0) * 1e-9);
-      ESP_EFFECTS_ESCAPE_END
-    } else {
-      out.SetNowHint(now_hint_ns);
-      ESP_EFFECTS_ESCAPE_BEGIN  // the fused UDF body's effects are the UDF author's contract, not the engine's
-      member->udf->OnRecord(record, out);
-      ESP_EFFECTS_ESCAPE_END
-    }
+    out.SetNowHint(stage.cadence.Start(clock));
+    ESP_EFFECTS_ESCAPE_BEGIN  // the fused UDF body's effects are the UDF author's contract, not the engine's
+    member->udf->OnRecord(record, out);
+    ESP_EFFECTS_ESCAPE_END
+    service_ns = stage.cadence.Finish(clock);
     (void)out.TakeEmitted();
   } catch (...) {
     // Deepest member wins: an inner ChainInvoke frame tags first and the
@@ -968,16 +965,17 @@ void LocalEngine::ChainInvoke(LocalTask* member, Record record,
     throw;
     ESP_EFFECTS_ESCAPE_END
   }
+  ESP_EFFECTS_ESCAPE_BEGIN  // staging vectors reach steady capacity after warm-up; growth is a cold edge
+  if (service_ns >= 0) stage.service.push_back(static_cast<double>(service_ns) * 1e-9);
   // Delivery is staged only AFTER the member's UDF succeeded: a fused sink
   // that throws salvages the record for replay, and counting it here too
   // would double-count on the second (successful) pass.
   if (member->is_sink && record.source_emit_ns != 0) {
     ++stage.delivered;
-    ESP_EFFECTS_ESCAPE_BEGIN  // staging vectors reach steady capacity after warm-up; growth is a cold edge
-    stage.sink_latency.push_back(
-        static_cast<double>(now_hint_ns - record.source_emit_ns) * 1e-9);
-    ESP_EFFECTS_ESCAPE_END
+    stage.sink.push_back(
+        {record.source_emit_ns, service_ns >= 0 ? stage.cadence.last_read() : 0});
   }
+  ESP_EFFECTS_ESCAPE_END
 }
 
 // Publishes every fused member's staged batch attribution: per-member one
@@ -991,14 +989,15 @@ void LocalEngine::FlushChainMetrics(LocalTask* head, std::int64_t now_ns) {
     if (stage.empty()) continue;
     {
       MutexLock lock(m->sampler_mutex);
-      for (std::uint64_t i = 0; i < stage.arrivals; ++i) {
-        m->sampler.RecordArrival(now_ns);
-      }
+      m->sampler.RecordArrivals(now_ns, stage.arrivals);
       for (double s : stage.service) {
         m->sampler.RecordServiceTime(s);
         m->sampler.OfferTaskLatency(s);
       }
-      for (double l : stage.sink_latency) m->latency_shard.Add(l);
+      for (const ChainMetricStaging::SinkStamp& d : stage.sink) {
+        const std::int64_t end = d.end_ns != 0 ? d.end_ns : now_ns;
+        m->latency_shard.Add(static_cast<double>(end - d.source_emit_ns) * 1e-9);
+      }
     }
     if (stage.delivered > 0) {
       m->delivered_n.fetch_add(stage.delivered, std::memory_order_relaxed);
@@ -1943,6 +1942,9 @@ void LocalEngine::ControlTick() {
     {
       MutexLock lock(task->sampler_mutex);
       m = task->sampler.Harvest();
+    }
+    if (m.service_mean > 0.0) {
+      result_.service_time[task->vertex_name].AddRepeated(m.service_mean, m.items);
     }
     shards[std::hash<TaskId>{}(task->id) % shards.size()].tasks.emplace_back(task->id, m);
   }

@@ -30,6 +30,7 @@
 
 #include "common/function_effects.h"
 #include "common/histogram.h"
+#include "common/stats.h"
 #include "common/thread_annotations.h"
 #include "core/batching.h"
 #include "core/elastic_scaler.h"
@@ -40,6 +41,7 @@
 #include "qos/overload.h"
 #include "runtime/fault.h"
 #include "runtime/record.h"
+#include "runtime/timing_cadence.h"
 #include "runtime/udf.h"
 
 namespace esp::runtime {
@@ -139,6 +141,10 @@ struct EngineResult {
   /// Engine-estimated sequence latency per constraint at each adjustment
   /// interval (negative = no data yet).
   std::vector<std::vector<double>> estimated_latency;
+  /// Measured service time S̄ per non-source vertex, seconds, as the QoS
+  /// harvest saw it: each task's interval S̄ counts once per record the task
+  /// consumed in that interval, so Mean() is the per-record service time.
+  std::unordered_map<std::string, RunningStats> service_time;
   /// Parallelism per vertex at the end of the run.
   std::unordered_map<std::string, std::uint32_t> final_parallelism;
   std::uint32_t rescales = 0;  ///< stop-the-world rescaling rounds
@@ -242,26 +248,28 @@ class LocalEngine {
   /// effect at the next wake-up.
   std::int64_t NextWakeNs(const LocalTask* task, std::int64_t now) const;
   /// Runs a fused member's UDF synchronously on the chain head's thread:
-  /// no queue, no envelope, and (off the sampling cadence) no clock read.
-  /// Per-record metric attribution lands in the member's ChainMetricStaging.
+  /// no queue, no envelope, and (off the member's timing cadence) no clock
+  /// read.  Per-record metric attribution lands in the member's
+  /// ChainMetricStaging.
   void ChainInvoke(LocalTask* member, Record record, std::int64_t now_hint_ns)
       ESP_NONALLOCATING;
-  /// The inner TaskLoop batch step: runs the UDF over `batch[0, n)` with
-  /// shared timestamp boundaries (record i's end is record i+1's start).
-  /// `processed` tracks the completed prefix AS the loop runs, so the
-  /// caller's catch can bank metrics for exactly the records that finished
-  /// and salvage the rest.  ESP_NONALLOCATING: the engine-side per-record
-  /// path performs no heap traffic; the UDF body itself is escaped (its
-  /// effects are the UDF author's contract, not the engine's).
-  void RunUdfBatch(LocalTask* task, RoutingCollector& collector,
-                   std::vector<Envelope>& batch, std::size_t n,
-                   std::vector<std::int64_t>& start_ns,
-                   std::vector<std::int64_t>& end_ns,
-                   std::vector<bool>& emitted_any, std::size_t& processed)
+  /// The inner TaskLoop batch step: runs the UDF over `batch[0, n)`, timing
+  /// records on the one TimingCadence (timing_cadence.h), and returns the
+  /// batch's closing clock read, where untimed records end.  `meter[i]`
+  /// receives record i's start, service time and emit flag; `processed`
+  /// tracks the completed prefix AS the loop runs, so the caller's catch can
+  /// bank metrics for exactly the records that finished and salvage the
+  /// rest.  ESP_NONALLOCATING: the engine-side per-record path performs no
+  /// heap traffic; the UDF body itself is escaped (its effects are the UDF
+  /// author's contract, not the engine's).
+  std::int64_t RunUdfBatch(LocalTask* task, RoutingCollector& collector,
+                           std::vector<Envelope>& batch, std::size_t n,
+                           std::vector<RecordMeter>& meter, std::size_t& processed)
       ESP_NONALLOCATING;
   /// Flushes every chain member's staged metrics into its samplers and its
   /// chained-edge channel sampler -- one lock acquisition per member per
-  /// head batch.
+  /// head batch.  `now_ns` is the head batch's closing read: the members'
+  /// arrival time and the end of their untimed deliveries.
   void FlushChainMetrics(LocalTask* head, std::int64_t now_ns);
   /// `origin` (default: the failing task itself) names the vertex the
   /// failure arose in; a chain head passes the fused member whose UDF threw

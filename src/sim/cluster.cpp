@@ -693,7 +693,7 @@ void ClusterSimulation::DeliverReady(std::uint32_t ci) {
     }
     for (SimItem& item : batch.items) {
       consumer.input.push_back(QueuedItem{item, events_.Now(), ci});
-      if (consumer.sampler != nullptr) consumer.sampler->RecordArrival(events_.Now());
+      if (consumer.sampler != nullptr) consumer.sampler->RecordArrivals(events_.Now(), 1);
     }
     consumer.deferred_cpu += config_.network.receive_batch_cpu;
     batch.items.clear();
@@ -1159,8 +1159,8 @@ RunResult ClusterSimulation::Run(SimDuration duration) {
     events_.Schedule(f.at, EventType::kTaskFault, static_cast<std::uint32_t>(i));
   }
 
-  while (!events_.Empty() && events_.PeekTime() <= duration) {
-    const Event e = events_.Pop();
+  Event e;
+  while (events_.PopUntil(duration, e)) {
     switch (e.type()) {
       case EventType::kSourceEmit: OnSourceEmit(e); break;
       case EventType::kServiceDone: OnServiceDone(e); break;

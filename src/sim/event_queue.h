@@ -7,6 +7,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/time.h"
@@ -86,14 +87,30 @@ class EventQueue {
   /// Pops the earliest event and advances the clock to its time.  Not
   /// valid when Empty().
   Event Pop() {
+    Event e;
+    PopUntil(std::numeric_limits<SimTime>::max(), e);
+    return e;
+  }
+
+  /// Pops the earliest event into `out` and advances the clock to its time
+  /// if one is pending at or before `limit`; otherwise changes nothing and
+  /// returns false.  One bitmap scan per event, where PeekTime then Pop
+  /// would take two.
+  bool PopUntil(SimTime limit, Event& out) {
+    if (size_ == 0) return false;
     const std::int64_t offset = NextBucketOffset();
     if (offset < 0) {
       // Nothing inside the window: jump to the earliest far event's slot.
+      if (far_.front().time > limit) return false;
       cursor_ = far_.front().time >> kSlotShift;
       PullFar();
-    } else if (offset > 0) {
-      cursor_ += offset;
-      PullFar();
+    } else {
+      const std::uint32_t b = static_cast<std::uint32_t>(cursor_ + offset) & kBucketMask;
+      if (nodes_[heads_[b]].event.time > limit) return false;
+      if (offset > 0) {
+        cursor_ += offset;
+        PullFar();
+      }
     }
     const std::uint32_t b = static_cast<std::uint32_t>(cursor_) & kBucketMask;
     const std::uint32_t node = heads_[b];
@@ -103,7 +120,8 @@ class EventQueue {
     free_ = node;
     --size_;
     now_ = nodes_[node].event.time;
-    return nodes_[node].event;
+    out = nodes_[node].event;
+    return true;
   }
 
   /// Earliest pending event time; only valid when not Empty().

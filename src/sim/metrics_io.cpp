@@ -4,7 +4,12 @@ namespace esp::sim {
 namespace {
 
 std::string ConstraintLabel(const std::vector<std::string>& names, std::size_t k) {
-  return k < names.size() ? names[k] : "c" + std::to_string(k);
+  if (k < names.size()) return names[k];
+  // Appending to a named string, not `"c" + std::to_string(k)`: g++ 12 at
+  // -O3 warns -Wrestrict (a false positive) inside that operator+.
+  std::string label = "c";
+  label += std::to_string(k);
+  return label;
 }
 
 }  // namespace

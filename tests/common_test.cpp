@@ -2,6 +2,8 @@
 // estimators, samplers and histograms.
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -214,6 +216,35 @@ TEST(RunningStats, CvIsZeroWhenUndefined) {
   EXPECT_DOUBLE_EQ(s.Cv(), 0.0);
 }
 
+TEST(RunningStats, AddRepeatedEqualsRepeatedAdd) {
+  // From empty, after a varied prefix, with k = 1, and with large k.
+  Rng rng(17);
+  for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{63}, std::size_t{5000}}) {
+    for (const int prefix : {0, 1, 40}) {
+      RunningStats repeated;
+      RunningStats looped;
+      for (int i = 0; i < prefix; ++i) {
+        const double x = rng.Exponential(3.0);
+        repeated.Add(x);
+        looped.Add(x);
+      }
+      const double x = rng.Uniform(-2.0, 2.0);
+      repeated.AddRepeated(x, k);
+      for (std::size_t i = 0; i < k; ++i) looped.Add(x);
+      SCOPED_TRACE(::testing::Message() << "k=" << k << " prefix=" << prefix);
+      EXPECT_EQ(repeated.count(), looped.count());
+      EXPECT_NEAR(repeated.Mean(), looped.Mean(), 1e-12 * std::max(1.0, std::abs(looped.Mean())));
+      EXPECT_NEAR(repeated.Variance(), looped.Variance(),
+                  1e-12 * std::max(1.0, looped.Variance()));
+      EXPECT_EQ(repeated.Min(), looped.Min());
+      EXPECT_EQ(repeated.Max(), looped.Max());
+    }
+  }
+  RunningStats none;
+  none.AddRepeated(4.0, 0);
+  EXPECT_TRUE(none.empty());
+}
+
 TEST(Ewma, ConvergesToConstantInput) {
   Ewma ewma(0.3);
   for (int i = 0; i < 100; ++i) ewma.Add(7.0);
@@ -320,6 +351,68 @@ TEST(LogHistogram, QuantilesOfKnownDistribution) {
     EXPECT_NEAR(hist.Quantile(q), exact, exact * 0.06) << "q=" << q;
   }
   EXPECT_NEAR(hist.Mean(), 1.0, 0.02);
+}
+
+// The classification BucketFor had before it went log-free.
+std::size_t LogFormulaBucket(double x, double min_value, double base, std::size_t max_buckets) {
+  if (x <= min_value) return 0;
+  const double idx = std::log(x / min_value) * (1.0 / std::log(base));
+  return std::min(static_cast<std::size_t>(idx) + 1, max_buckets - 1);
+}
+
+TEST(LogHistogram, EveryValueLandsBetweenItsBucketEdges) {
+  Rng rng(71);
+  for (const double base : {1.02, 1.05, 1.1, 2.0}) {
+    const LogHistogram h(1e-6, base);
+    for (int i = 0; i < 200000; ++i) {
+      // Log-uniform over 1e-9 .. 1e4, spanning bucket 0 and the low edges.
+      const double x = std::exp(rng.Uniform(std::log(1e-9), std::log(1e4)));
+      const std::size_t b = h.BucketFor(x);
+      if (b == 0) {
+        EXPECT_LE(x, 1e-6);
+        continue;
+      }
+      ASSERT_GE(x, h.BucketLowerEdge(b)) << "base=" << base << " x=" << x;
+      ASSERT_LT(x, h.BucketLowerEdge(b + 1)) << "base=" << base << " x=" << x;
+    }
+    // Exact edges belong to the bucket above them (min_value itself, the
+    // lower edge of bucket 1, still counts as bucket 0); the cap holds.
+    EXPECT_EQ(h.BucketFor(1e-6), 0u);
+    for (std::size_t b = 2; b < 300; ++b) EXPECT_EQ(h.BucketFor(h.BucketLowerEdge(b)), b);
+    // (At base 2 the 4096th edge would lie beyond the double range.)
+    if (base < 1.5) {
+      EXPECT_EQ(h.BucketFor(1e300), 4095u);
+    }
+  }
+}
+
+TEST(LogHistogram, AgreesWithLogFormulaAwayFromEdges) {
+  // 1 M random values: the log-free classification equals the old std::log
+  // formula except for values within a few ulps of a bucket edge, where
+  // either answer is a rounding artefact.
+  Rng rng(73);
+  const double min_value = 1e-6;
+  const double base = 1.05;
+  const LogHistogram h(min_value, base);
+  int disagreements = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double x = std::exp(rng.Uniform(std::log(1e-7), std::log(1e3)));
+    const std::size_t fast = h.BucketFor(x);
+    const std::size_t slow = LogFormulaBucket(x, min_value, base, 4096);
+    if (fast == slow) continue;
+    ++disagreements;
+    const double edge = h.BucketLowerEdge(std::max(fast, slow));
+    EXPECT_LE(std::abs(x - edge), 8 * std::numeric_limits<double>::epsilon() * edge)
+        << "x=" << x << " fast=" << fast << " slow=" << slow;
+  }
+  EXPECT_LT(disagreements, 10);
+  // Values placed exactly on edges: any disagreement is a one-bucket,
+  // few-ulp rounding difference.
+  for (std::size_t b = 1; b < 400; ++b) {
+    const double edge = h.BucketLowerEdge(b);
+    const auto slow = static_cast<std::ptrdiff_t>(LogFormulaBucket(edge, min_value, base, 4096));
+    EXPECT_LE(std::abs(static_cast<std::ptrdiff_t>(h.BucketFor(edge)) - slow), 1) << b;
+  }
 }
 
 TEST(LogHistogram, MergeAddsCounts) {

@@ -2,6 +2,8 @@
 // managers (partial summaries) -> master merge (global summary).
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "common/stats.h"
 #include "graph/job_graph.h"
 #include "graph/runtime_graph.h"
 #include "graph/sequence.h"
@@ -25,17 +27,57 @@ JobGraph ThreeStageGraph() {
 
 TEST(TaskSampler, TracksInterarrivalAcrossHarvests) {
   TaskSampler sampler;
-  sampler.RecordArrival(FromMillis(0));
-  sampler.RecordArrival(FromMillis(10));
+  sampler.RecordArrivals(FromMillis(0), 1);
+  sampler.RecordArrivals(FromMillis(10), 1);
   TaskMeasurement m1 = sampler.Harvest();
   EXPECT_NEAR(m1.interarrival_mean, 0.010, 1e-12);
   EXPECT_EQ(m1.items, 2u);
   // The previous arrival time survives the harvest: the next gap is
   // measured from 10 ms, not lost.
-  sampler.RecordArrival(FromMillis(30));
+  sampler.RecordArrivals(FromMillis(30), 1);
   TaskMeasurement m2 = sampler.Harvest();
   EXPECT_NEAR(m2.interarrival_mean, 0.020, 1e-12);
   EXPECT_EQ(m2.items, 1u);
+}
+
+TEST(TaskSampler, RecordArrivalsEqualsThatManySingleArrivals) {
+  // Batches of n items at one time == n single arrivals at that time: same
+  // item count, inter-arrival mean and cv within 1e-12 relative.
+  Rng rng(31);
+  TaskSampler batched;
+  TaskSampler single;
+  SimTime t = 0;
+  for (int b = 0; b < 2000; ++b) {
+    t += FromMicros(rng.Exponential(1.0 / 50.0));
+    const auto n = static_cast<std::uint64_t>(rng.UniformInt(1, 64));
+    batched.RecordArrivals(t, n);
+    for (std::uint64_t i = 0; i < n; ++i) single.RecordArrivals(t, 1);
+  }
+  const TaskMeasurement a = batched.Harvest();
+  const TaskMeasurement b = single.Harvest();
+  EXPECT_EQ(a.items, b.items);
+  EXPECT_NEAR(a.interarrival_mean, b.interarrival_mean, 1e-12 * b.interarrival_mean);
+  EXPECT_NEAR(a.interarrival_cv, b.interarrival_cv, 1e-12 * b.interarrival_cv);
+}
+
+TEST(TaskSampler, SingleArrivalsAreBitIdenticalToAddingEachGap) {
+  // n = 1 is the simulator's path: it must reproduce a plain Welford over
+  // the gaps bit for bit, or simulated trajectories would drift.
+  Rng rng(37);
+  TaskSampler sampler;
+  RunningStats gaps;
+  SimTime t = FromMillis(3);
+  sampler.RecordArrivals(t, 1);
+  for (int i = 0; i < 5000; ++i) {
+    const SimTime next = t + FromMicros(rng.Exponential(1.0 / 80.0));
+    gaps.Add(ToSeconds(next - t));
+    sampler.RecordArrivals(next, 1);
+    t = next;
+  }
+  const TaskMeasurement m = sampler.Harvest();
+  EXPECT_EQ(m.items, 5001u);
+  EXPECT_EQ(m.interarrival_mean, gaps.Mean());
+  EXPECT_EQ(m.interarrival_cv, gaps.Cv());
 }
 
 TEST(TaskSampler, ServiceAndLatencyStats) {
@@ -87,7 +129,7 @@ TEST(QosReporter, HarvestsAllRegisteredSamplers) {
   const ChannelId c0{JobEdgeId{0}, 0, 0};
   reporter.AddTask(t0);
   reporter.AddChannel(c0);
-  reporter.task_sampler(t0).RecordArrival(FromMillis(1));
+  reporter.task_sampler(t0).RecordArrivals(FromMillis(1), 1);
   reporter.channel_sampler(c0).CountItem();
   const QosReport report = reporter.TakeReport(FromSeconds(1));
   EXPECT_EQ(report.time, FromSeconds(1));

@@ -1,6 +1,7 @@
 // Tests for the threaded local runtime: the SPSC lane queue, record boxing
 // and the LocalEngine end-to-end (routing patterns, batching strategies,
 // windowed UDFs, termination, and stop-the-world elastic rescaling).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -13,12 +14,15 @@
 #include <gtest/gtest.h>
 
 #include "common/alloc_counter.h"
+#include "common/rng.h"
+#include "common/stats.h"
 
 #include "common/thread_annotations.h"
 #include "runtime/engine.h"
 #include "runtime/fanin_lanes.h"
 #include "runtime/record.h"
 #include "runtime/spsc_queue.h"
+#include "runtime/timing_cadence.h"
 
 namespace esp::runtime {
 namespace {
@@ -343,6 +347,97 @@ TEST(SpscQueue, ConcurrentStressKeepsOrderAndCount) {
   }
   producer.join();
   EXPECT_EQ(expect, kTotal);
+}
+
+// ----------------------------------------------------------- timing cadence
+
+// A fake clock: reads are counted, time moves only when the test says so.
+struct FakeClock {
+  std::int64_t now = 1'000'000;
+  int reads = 0;
+  std::int64_t operator()() {
+    ++reads;
+    return now;
+  }
+};
+
+// Drives one batch through the cadence the way LocalEngine::RunUdfBatch
+// does (opening read, Start/Finish per record, closing read) and returns
+// which records were timed.  Checks on the way that a timed record's
+// service time is exact and that no start is later than the true time.
+std::vector<bool> MeterBatch(TimingCadence& cadence, FakeClock& clock,
+                             const std::vector<std::int64_t>& costs) {
+  std::vector<bool> timed;
+  cadence.BeginBatch(clock());
+  for (const std::int64_t cost : costs) {
+    EXPECT_LE(cadence.Start(clock), clock.now);
+    clock.now += cost;
+    const std::int64_t service = cadence.Finish(clock);
+    if (service >= 0) {
+      EXPECT_EQ(service, cost);
+    }
+    timed.push_back(service >= 0);
+  }
+  EXPECT_EQ(cadence.Close(clock), clock.now);
+  return timed;
+}
+
+TEST(TimingCadence, MillisecondUdfIsTimedOnEveryRecord) {
+  TimingCadence cadence;
+  FakeClock clock;
+  for (int b = 0; b < 10; ++b) {
+    const std::vector<bool> timed =
+        MeterBatch(cadence, clock, std::vector<std::int64_t>(64, 1'000'000));
+    EXPECT_EQ(std::count(timed.begin(), timed.end(), true), 64) << "batch " << b;
+  }
+  // Consecutive timed records share their boundary read: n + 1 per batch.
+  EXPECT_EQ(clock.reads, 10 * 65);
+}
+
+TEST(TimingCadence, SaturatedSubMicrosecondBatchesReadTheClockAtMostFourTimes) {
+  TimingCadence cadence;
+  FakeClock clock;
+  for (int b = 0; b < 100; ++b) {
+    const int before = clock.reads;
+    const std::vector<bool> timed =
+        MeterBatch(cadence, clock, std::vector<std::int64_t>(64, 300));
+    EXPECT_TRUE(timed.front());
+    EXPECT_LE(clock.reads - before, 4) << "batch " << b;
+  }
+}
+
+TEST(TimingCadence, FirstRecordOfEveryBatchIsTimed) {
+  // Batch sizes 1..64 and costs mixing sub-us records with occasional
+  // multi-us ones: every batch's first record is timed, and a timed record
+  // of >= kExactNs keeps the next one timed.
+  TimingCadence cadence;
+  FakeClock clock;
+  Rng rng(5);
+  for (int b = 0; b < 500; ++b) {
+    std::vector<std::int64_t> costs(static_cast<std::size_t>(rng.UniformInt(1, 64)));
+    for (std::int64_t& c : costs) c = rng.Bernoulli(0.05) ? 50'000 : 200;
+    const std::vector<bool> timed = MeterBatch(cadence, clock, costs);
+    ASSERT_TRUE(timed.front()) << "batch " << b;
+    for (std::size_t i = 0; i + 1 < costs.size(); ++i) {
+      if (timed[i] && costs[i] >= TimingCadence::kExactNs) {
+        EXPECT_TRUE(timed[i + 1]) << "batch " << b << " record " << i;
+      }
+    }
+  }
+  // A fused member has no opening read: it borrows the head's hint, which
+  // only moves its own start forward, and still times its first record.
+  TimingCadence member;
+  member.BeginBatch(0);
+  member.Lend(clock.now);
+  clock.now += 500;
+  const int before = clock.reads;
+  EXPECT_EQ(member.Start(clock), clock.now);  // timed: reads its own start
+  EXPECT_EQ(clock.reads, before + 1);
+  clock.now += 100;
+  EXPECT_EQ(member.Finish(clock), 100);
+  member.Lend(clock.now - 50);  // an older hint never moves the read back
+  EXPECT_EQ(member.Start(clock), clock.now);  // untimed: the last read
+  EXPECT_EQ(member.Finish(clock), -1);
 }
 
 // ---------------------------------------------------------------- fixtures
@@ -1030,6 +1125,64 @@ long long SteadyNowNs() {
   return std::chrono::duration_cast<nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+TEST(LocalEngineMetering, ServiceTimeOfABusyUdfMatchesItsCost) {
+  // A ~200 us busy-wait UDF, fed at full blast: S-bar must stay within 10 %
+  // of the UDF's cost, whether the UDF heads the task (RunUdfBatch's
+  // cadence) or runs fused into its producer's thread (ChainInvoke's).
+  // The cost is what the UDF measures around its own body, so a loaded
+  // host that stretches the spin stretches both sides alike.
+  static constexpr int kRecords = 1500;  // ~0.3 s of spinning per case
+  struct Cost {
+    std::atomic<std::int64_t> ns{0};
+    std::atomic<std::int64_t> records{0};
+  };
+  // Forwards its input unless it is the sink; `cost` (when set) spins first.
+  class Pass final : public Udf {
+   public:
+    Pass(Cost* cost, bool sink) : cost_(cost), sink_(sink) {}
+    void OnRecord(const Record& r, Collector& out) override {
+      if (cost_ != nullptr) {
+        const auto start = std::chrono::steady_clock::now();
+        while (std::chrono::steady_clock::now() < start + std::chrono::microseconds(200)) {
+        }
+        cost_->ns += std::chrono::duration_cast<nanoseconds>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+        ++cost_->records;
+      }
+      if (!sink_) out.Emit(MakeRecord<int>(Get<int>(r), r.key));
+    }
+
+   private:
+    Cost* cost_;
+    bool sink_;
+  };
+  for (const std::string busy : {"Mid", "Snk"}) {
+    SCOPED_TRACE(busy);
+    Cost cost;
+    LocalEngineOptions opts;
+    opts.measurement_interval = FromMillis(50);
+    LocalEngine engine(LinearGraph(1, 1), opts);
+    engine.SetSource("Src", [](std::uint32_t) {
+      return std::make_unique<CountingSource>(kRecords, milliseconds(0));
+    });
+    for (const std::string v : {"Mid", "Snk"}) {
+      engine.SetUdf(v, [&cost, busy, v](std::uint32_t) {
+        return std::make_unique<Pass>(busy == v ? &cost : nullptr, v == "Snk");
+      });
+    }
+    const EngineResult result = engine.Run(FromSeconds(30));
+    ASSERT_TRUE(result.clean()) << result.first_failure();
+    EXPECT_EQ(result.chain_forms, 1u);  // Snk runs fused into Mid's thread
+    ASSERT_EQ(cost.records.load(), kRecords);
+    const double cost_s = static_cast<double>(cost.ns.load()) * 1e-9 / kRecords;
+    ASSERT_EQ(result.service_time.count(busy), 1u);
+    const RunningStats& s = result.service_time.at(busy);
+    EXPECT_GE(s.count(), std::size_t{kRecords / 2});  // records of intervals harvested while running
+    EXPECT_NEAR(s.Mean(), cost_s, 0.1 * cost_s);
+  }
 }
 
 TEST(LocalEngineIdle, IdleJobBurnsAlmostNoCpu) {

@@ -99,8 +99,24 @@ TEST(EventQueue, MatchesReferenceHeapOnRandomOperations) {
       pop();
       if (::testing::Test::HasFatalFailure()) return;
       if (rng.Bernoulli(0.2)) schedule(q.Now());
-    } else {
+    } else if (r < 0.975) {
       ASSERT_EQ(q.PeekTime(), ref.top().first);
+    } else {
+      // PopUntil: a limit before the earliest event pops nothing and leaves
+      // the clock alone; a limit at or after it pops exactly that event.
+      const SimTime top = ref.top().first;
+      const SimTime now = q.Now();
+      Event e;
+      if (top > 0 && rng.Bernoulli(0.5)) {
+        ASSERT_FALSE(q.PopUntil(top - 1 - rng.UniformInt(0, 1000), e));
+        ASSERT_EQ(q.Now(), now);
+      } else {
+        ASSERT_TRUE(q.PopUntil(top + rng.UniformInt(0, 1000), e));
+        ASSERT_EQ(e.time, top);
+        ASSERT_EQ(e.seq(), ref.top().second);
+        ASSERT_EQ(q.Now(), top);
+        ref.pop();
+      }
     }
     ASSERT_EQ(q.Size(), ref.size());
   }
